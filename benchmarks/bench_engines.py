@@ -1,42 +1,37 @@
-"""Monte Carlo engine comparison: serial vs pool vs vectorized wall time.
+"""Execution-configuration comparison: serial vs pool vs fast wall time.
 
-Benchmarks two seeded die-population workloads through every
-execution-engine configuration:
+Benchmarks seeded die-population and campaign workloads, all on the
+die-batched chunk path, through every execution configuration:
 
 - ``dynamic-screen`` — the headline workload: 32 dies x 4096 samples,
-  coherent tone capture + FFT metrics per die.  This is where
-  die-batching bites: the per-die Python dispatch disappears and the
-  FFTs run as one batched transform.
+  coherent tone capture + FFT metrics per die, die chunks converted as
+  single ``AdcArray`` passes with batched FFTs.
 - ``yield-screen`` — the full ``repro mc`` workload (tone + 16
-  samples/code linearity ramp).  The long ramp is per-sample bound, so
-  engine differences are smaller; the pool supplies the parallel axis.
+  samples/code linearity ramp).  The long ramp is per-sample bound;
+  the pool supplies the parallel axis.
 - ``calibrated-yield`` — the ``repro mc --calibrate`` workload: every
-  die is foreground gain-calibrated before screening.  The vectorized
-  engine captures each chunk's calibration ramp in one die-batched
-  pass (``GainCalibrationArray``), so the per-die calibration Python
-  dispatch disappears on top of the yield-screen batching.
+  die is foreground gain-calibrated before screening.
 - ``pvt-campaign`` — the ``repro campaign`` sign-off workload: a
-  5-corner x 3-temperature x N-die grid, serial = the legacy
-  ``ext-corners``-style per-cell ``DynamicTestbench`` loop, vectorized
-  = corner-batched ``(cells, samples)`` AdcArray passes.
+  5-corner x 3-temperature x N-die grid of corner-batched
+  ``(cells, samples)`` AdcArray passes.
 - ``sharded-campaign`` — the scale-out path: the grid splits into two
   shards (``CampaignSpec.shard``), each runs against its own ledger,
   and ``merge_campaign_ledgers`` reassembles the campaign-wide report.
   Measures the shard + merge overhead on top of the plain campaign and
   asserts the merged metrics stay consistent with serial.
 
-Engine configurations per workload:
+Configurations per workload:
 
-- ``serial``          — pool engine, 1 worker: the per-die loop.
-- ``pool``            — pool engine, all CPUs: process parallelism.
-- ``vectorized``      — vectorized engine, 1 worker: die-batched NumPy.
-- ``vectorized+pool`` — vectorized engine, all CPUs: the composition
-  (the pool fans out die-batched chunks).
-- ``vectorized-fast`` — vectorized engine, 1 worker, the opt-in
-  ``precision="fast"`` tier (float32 + fused noise draws).
+- ``serial``          — exact precision, 1 worker.
+- ``pool``            — exact precision, all CPUs: process parallelism
+  (the pool fans out die/cell chunks).
+- ``vectorized-fast`` — 1 worker, the opt-in ``precision="fast"`` tier
+  (float32 + fused noise draws).
 
-Per-die metrics are asserted identical across the default-precision
-configurations (the engines are bit-exact per die); the fast tier is
+The names are the ones earlier five-configuration runs used for the
+same paths, so the committed history trend stays continuous.  Per-die
+metrics are asserted identical across the exact configurations (a
+die's codes are bit-exact for any worker count); the fast tier is
 instead gated by statistical equivalence — every metric must agree
 with serial within a documented tolerance, never bitwise.  The wall
 times plus speedups are emitted as a ``BENCH_engines.json`` artifact
@@ -47,7 +42,7 @@ machines are interpretable.
 ``--compare-baseline PATH`` additionally compares the fresh run against
 a committed baseline artifact (``benchmarks/BENCH_baseline.json``): the
 run fails when any shared workload's wall time regresses beyond the
-tolerance (default 1.5x) or when the engines' metrics diverge — the CI
+tolerance (default 1.5x) or when the configurations' metrics diverge — the CI
 benchmark-regression gate.
 
 ``--history-dir DIR`` appends the run to a perf-trajectory history:
@@ -114,15 +109,9 @@ FAST_ABS_TOL = 0.35
 
 def _engine_configs(workers: int) -> dict[str, dict]:
     return {
-        "serial": {"engine": "pool", "workers": 1},
-        "pool": {"engine": "pool", "workers": workers},
-        "vectorized": {"engine": "vectorized", "workers": 1},
-        "vectorized+pool": {"engine": "vectorized", "workers": workers},
-        "vectorized-fast": {
-            "engine": "vectorized",
-            "workers": 1,
-            "precision": "fast",
-        },
+        "serial": {"workers": 1},
+        "pool": {"workers": workers},
+        "vectorized-fast": {"workers": 1, "precision": "fast"},
     }
 
 
@@ -138,28 +127,6 @@ class _DynamicTask:
     conversion_rate: float = 110e6
     input_frequency: float = 10e6
     precision: str = "exact"
-
-
-def _measure_dynamic_die(task: _DynamicTask):
-    from repro.core.adc import PipelineAdc
-    from repro.core.config import AdcConfig
-    from repro.signal.generators import SineGenerator
-    from repro.signal.spectrum import SpectrumAnalyzer
-
-    (die,) = task.samples
-    adc = PipelineAdc(
-        AdcConfig.paper_default(),
-        conversion_rate=task.conversion_rate,
-        operating_point=die.operating_point,
-        seed=die.seed,
-    )
-    tone = SineGenerator.coherent(
-        task.input_frequency, task.conversion_rate, task.n_fft, amplitude=0.995
-    )
-    metrics = SpectrumAnalyzer().analyze(
-        adc.convert(tone, task.n_fft).codes, task.conversion_rate
-    )
-    return [(die.index, metrics.sndr_db, metrics.enob_bits)]
 
 
 def _measure_dynamic_chunk(task: _DynamicTask):
@@ -186,24 +153,19 @@ def _measure_dynamic_chunk(task: _DynamicTask):
     ]
 
 
-def _run_dynamic_config(dies, n_fft, engine, workers, precision="exact"):
+def _run_dynamic_config(dies, n_fft, workers, precision="exact"):
     from repro.runtime.batch import BatchRunner
 
-    if engine == "pool":
-        tasks = [_DynamicTask(samples=(die,), n_fft=n_fft) for die in dies]
-        fn = _measure_dynamic_die
-    else:
-        chunk = _DYNAMIC_DIE_CHUNK
-        tasks = [
-            _DynamicTask(
-                samples=tuple(dies[low : low + chunk]),
-                n_fft=n_fft,
-                precision=precision,
-            )
-            for low in range(0, len(dies), chunk)
-        ]
-        fn = _measure_dynamic_chunk
-    batch = BatchRunner(workers=workers).run(fn, tasks)
+    chunk = _DYNAMIC_DIE_CHUNK
+    tasks = [
+        _DynamicTask(
+            samples=tuple(dies[low : low + chunk]),
+            n_fft=n_fft,
+            precision=precision,
+        )
+        for low in range(0, len(dies), chunk)
+    ]
+    batch = BatchRunner(workers=workers).run(_measure_dynamic_chunk, tasks)
     batch.raise_first_failure()
     rows = [row for value in batch.values for row in value]
     return sorted(rows)
@@ -226,7 +188,7 @@ def _rows_close(a, b) -> bool:
 def _rows_statistically_close(a, b) -> bool:
     """Loose agreement gate for the fast precision tier.
 
-    Fast-tier codes differ sample-by-sample from the exact engine (the
+    Fast-tier codes differ sample-by-sample from the exact tier (the
     fused output-referred noise draw consumes different stream values),
     so per-die metrics are compared with tolerances sized to realization
     noise rather than floating-point error.
@@ -242,14 +204,14 @@ def _rows_statistically_close(a, b) -> bool:
 
 
 def _compare_configs(run_one, workers: int) -> dict:
-    """Time every engine configuration through ``run_one(config)``."""
+    """Time every execution configuration through ``run_one(config)``."""
     from repro.core import die_cache
 
     results: dict[str, dict] = {}
     reference = None
     for name, config in _engine_configs(workers).items():
         # Every configuration is timed cold: a die cache warmed by the
-        # previous engine would hand its successor a free build column.
+        # previous one would hand its successor a free build column.
         die_cache.clear()
         start = time.perf_counter()
         rows = run_one(config)
@@ -280,9 +242,7 @@ def _compare_configs(run_one, workers: int) -> dict:
     }
 
 
-def _run_campaign_config(
-    campaign_dies, n_fft, seed, engine, workers, precision="exact"
-):
+def _run_campaign_config(campaign_dies, n_fft, seed, workers, precision="exact"):
     from repro.runtime.campaign import CampaignSpec, run_campaign
 
     spec = CampaignSpec(
@@ -291,7 +251,7 @@ def _run_campaign_config(
         n_samples=n_fft,
         precision=precision,
     )
-    report = run_campaign(spec, engine=engine, workers=workers)
+    report = run_campaign(spec, workers=workers)
     report.batch.raise_first_failure()
     return sorted(
         (c.index, c.snr_db, c.sndr_db, c.sfdr_db, c.enob_bits)
@@ -300,7 +260,7 @@ def _run_campaign_config(
 
 
 def _run_sharded_campaign_config(
-    campaign_dies, n_fft, seed, engine, workers, precision="exact"
+    campaign_dies, n_fft, seed, workers, precision="exact"
 ):
     """Two shards to their own ledgers, then the ledger merge."""
     import tempfile
@@ -325,12 +285,7 @@ def _run_sharded_campaign_config(
         ledgers = []
         for shard in spec.shards(2):
             ledger = Path(tmpdir) / f"shard-{shard.index}.jsonl"
-            report = run_campaign_shard(
-                shard,
-                engine=engine,
-                workers=workers,
-                ledger_path=ledger,
-            )
+            report = run_campaign_shard(shard, workers=workers, ledger_path=ledger)
             report.batch.raise_first_failure()
             ledgers.append(ledger)
         merged = merge_campaign_ledgers(ledgers)
@@ -357,7 +312,7 @@ def run_engine_comparison(
     include_campaign: bool = True,
     include_sharded_campaign: bool = True,
 ) -> dict:
-    """Time every engine configuration on the seeded workloads."""
+    """Time every execution configuration on the seeded workloads."""
     import numpy as np
 
     from repro.core.config import AdcConfig
@@ -379,7 +334,6 @@ def run_engine_comparison(
             lambda config: _run_dynamic_config(
                 population,
                 n_fft,
-                config["engine"],
                 config["workers"],
                 config.get("precision", "exact"),
             ),
@@ -442,7 +396,6 @@ def run_engine_comparison(
                     campaign_dies,
                     n_fft,
                     seed,
-                    config["engine"],
                     config["workers"],
                     config.get("precision", "exact"),
                 ),
@@ -464,7 +417,6 @@ def run_engine_comparison(
                     campaign_dies,
                     n_fft,
                     seed,
-                    config["engine"],
                     config["workers"],
                     config.get("precision", "exact"),
                 ),

@@ -1,11 +1,17 @@
 #!/usr/bin/env python
-"""Fail on dead relative links in the repo's markdown documentation.
+"""Fail on dead relative links in the docs and dead doc citations in code.
 
 Scans ``README.md``, ``ROADMAP.md``, ``CHANGES.md`` and ``docs/*.md``
 for markdown links and images, resolves every relative target against
 the containing file, and exits 1 listing targets that do not exist.
 External schemes (http/https/mailto) and pure in-page anchors are
 skipped; a ``path#anchor`` target is checked for the path only.
+
+It also scans ``src/**/*.py`` for every ``*.md`` file name the code
+cites (docstrings, comments, printed text) and fails on a name that
+does not exist: a path (``docs/performance.md``) must resolve against
+the repo root, a bare name (``README.md``) must name some markdown file
+in the repo.
 
 CI runs this as the docs-link-check step::
 
@@ -22,6 +28,9 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: Markdown inline links/images: [text](target) / ![alt](target).
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+
+#: A markdown file name cited in source text.
+_MD_CITATION = re.compile(r"(?:[\w-]+/)*[\w.-]*\w\.md\b")
 
 _SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
@@ -54,15 +63,37 @@ def check_links(paths: list[Path]) -> list[str]:
     return problems
 
 
+def check_source_citations(repo: Path = REPO) -> list[str]:
+    """Citations of missing ``*.md`` files in ``src/**/*.py``."""
+    markdown = {
+        path.name
+        for path in repo.rglob("*.md")
+        if not any(part.startswith(".") for part in path.relative_to(repo).parts)
+    }
+    problems: list[str] = []
+    for path in sorted((repo / "src").rglob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            for name in _MD_CITATION.findall(line):
+                exists = (repo / name).is_file() if "/" in name else name in markdown
+                if not exists:
+                    problems.append(
+                        f"{path.relative_to(repo)}:{number}: cites missing {name}"
+                    )
+    return problems
+
+
 def main() -> int:
     paths = _documents()
-    problems = check_links(paths)
+    problems = check_links(paths) + check_source_citations()
     if problems:
-        print("dead documentation links:")
+        print("dead documentation links or citations:")
         for problem in problems:
             print(f"  {problem}")
         return 1
-    print(f"docs link check passed ({len(paths)} file(s))")
+    print(
+        f"docs link check passed ({len(paths)} file(s), "
+        "plus the *.md citations in src/)"
+    )
     return 0
 
 

@@ -7,7 +7,7 @@ Usage::
     repro fig4 fig5 --quick
     repro all --workers 4
     repro mc --dies 16 --workers 4 --json out.json
-    repro mc --dies 32 --engine vectorized --calibrate
+    repro mc --dies 32 --die-chunk 4 --calibrate
     repro campaign --dies 16 --ledger signoff.jsonl
     repro campaign --dies 16 --ledger signoff.jsonl --resume
     repro campaign --dies 16 --shard 0/2 --ledger shard-0.jsonl
@@ -46,7 +46,7 @@ from repro.runtime.campaign import (
     run_campaign,
 )
 from repro.runtime.montecarlo import YieldSpec, run_yield_analysis
-from repro.runtime.profiling import ENGINES, WORKLOADS, profile_workload
+from repro.runtime.profiling import WORKLOADS, profile_workload
 from repro.schemas import (
     CELL_STORE_REPORT_SCHEMA,
     DISPATCH_REPORT_SCHEMA,
@@ -116,24 +116,14 @@ def build_mc_parser() -> argparse.ArgumentParser:
         "--dies", type=int, default=24, metavar="N", help="die count (default 24)"
     )
     parser.add_argument(
-        "--engine",
-        choices=("pool", "vectorized"),
-        default="pool",
-        help=(
-            "execution engine: 'pool' measures one die per task, "
-            "'vectorized' converts die chunks as single (dies, samples) "
-            "NumPy batches; per-die codes are bit-exact across engines "
-            "(default pool)"
-        ),
-    )
-    parser.add_argument(
         "--die-chunk",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "dies per vectorized batch (vectorized engine only; "
-            "default: split across workers, cache-bounded)"
+            "dies per batch task, converted as one (dies, samples) "
+            "NumPy batch; per-die codes are bit-exact for any value "
+            "(default: split across workers, at most 2)"
         ),
     )
     parser.add_argument(
@@ -142,9 +132,7 @@ def build_mc_parser() -> argparse.ArgumentParser:
         help=(
             "foreground gain-calibrate every die before screening "
             "(extension beyond the paper): the screens then measure the "
-            "calibrated reconstruction; per-die identical across engines "
-            "(the vectorized engine calibrates whole chunks in one "
-            "batched capture)"
+            "calibrated reconstruction"
         ),
     )
     parser.add_argument(
@@ -162,10 +150,10 @@ def build_mc_parser() -> argparse.ArgumentParser:
         choices=("exact", "fast"),
         default="exact",
         help=(
-            "'exact' is bit-exact across engines; 'fast' runs the "
-            "vectorized engine in float32 with fused noise draws — "
-            "statistically equivalent metrics (documented ENOB/SNDR "
-            "tolerance), faster (default exact)"
+            "'exact' is bit-exact per die; 'fast' runs the stage "
+            "chain in float32 with fused noise draws — statistically "
+            "equivalent metrics (documented ENOB/SNDR tolerance), "
+            "faster (default exact)"
         ),
     )
     parser.add_argument(
@@ -174,13 +162,6 @@ def build_mc_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes; identical metrics for any value (default 1)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="dies per dispatch chunk (default: auto)",
     )
     parser.add_argument(
         "--seed",
@@ -358,10 +339,10 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("exact", "fast"),
         default="exact",
         help=(
-            "'exact' is bit-exact across engines; 'fast' runs the "
-            "vectorized engine in float32 with fused noise draws — "
-            "statistically equivalent metrics, faster; part of the "
-            "ledger fingerprint (default exact)"
+            "'exact' is bit-exact per cell; 'fast' runs the stage "
+            "chain in float32 with fused noise draws — statistically "
+            "equivalent metrics, faster; part of the ledger "
+            "fingerprint (default exact)"
         ),
     )
 
@@ -410,25 +391,14 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     )
     _add_spec_arguments(parser)
     parser.add_argument(
-        "--engine",
-        choices=("pool", "vectorized"),
-        default="vectorized",
-        help=(
-            "execution engine: 'pool' measures one cell per task "
-            "through the serial DynamicTestbench, 'vectorized' "
-            "converts cell chunks as single (cells, samples) NumPy "
-            "batches; per-cell metrics are bit-exact across engines "
-            "(default vectorized)"
-        ),
-    )
-    parser.add_argument(
         "--cell-chunk",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "cells per vectorized batch (vectorized engine only; "
-            "default: split across workers, cache-bounded)"
+            "cells per batch task, converted as one (cells, samples) "
+            "NumPy batch; per-cell metrics are bit-exact for any value "
+            "(default: split across workers, at most 8)"
         ),
     )
     parser.add_argument(
@@ -437,13 +407,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes; identical metrics for any value (default 1)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="tasks per dispatch chunk (default: auto)",
     )
     parser.add_argument(
         "--ledger",
@@ -564,8 +527,8 @@ def build_profile_parser() -> argparse.ArgumentParser:
         description=(
             "Run a named workload with per-stage wall-time "
             "instrumentation enabled and render the cost breakdown "
-            "(counts, total/mean time, %-of-run per stage), serial vs "
-            "vectorized engine side by side.  Profiling never touches "
+            "(counts, total/mean time, %-of-run per stage).  "
+            "Profiling never touches "
             "a random stream, so the measured runs are bit-exact with "
             "unprofiled ones.  See docs/performance.md for how to read "
             "the output."
@@ -598,12 +561,6 @@ def build_profile_parser() -> argparse.ArgumentParser:
         help="record length per cell (default 4096)",
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINES + ("both",),
-        default="both",
-        help="which engine column(s) to run (default both)",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=None,
@@ -619,13 +576,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
 def run_profile(argv: Sequence[str] | None = None) -> int:
     """Run the ``profile`` subcommand; returns a process exit code."""
     args = build_profile_parser().parse_args(argv)
-    engines = ENGINES if args.engine == "both" else (args.engine,)
-    report = profile_workload(
-        args.workload,
-        dies=args.dies,
-        fft_points=args.fft_points,
-        engines=engines,
-    )
+    report = profile_workload(args.workload, dies=args.dies, fft_points=args.fft_points)
     print(report.render())
     if args.json is not None:
         try:
@@ -735,12 +686,10 @@ def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
         cell_range = _parse_cell_range(args.cell_range)
     report = run_campaign(
         spec,
-        engine=args.engine,
         ledger_path=args.ledger,
         resume=args.resume,
         cell_chunk=args.cell_chunk,
         workers=args.workers,
-        chunk_size=args.chunk_size,
         progress=_stderr_progress if args.progress else None,
         cell_range=cell_range,
         cell_store=args.cell_store,
@@ -878,12 +827,6 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--engine",
-        choices=("pool", "vectorized"),
-        default="vectorized",
-        help="execution engine for the shard subprocesses (default vectorized)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -896,7 +839,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "cells per vectorized batch inside each shard; 1 makes "
+            "cells per batch task inside each shard; 1 makes "
             "the shard ledgers checkpoint per cell (default: auto)"
         ),
     )
@@ -957,7 +900,6 @@ def run_campaign_dispatch_cli(argv: Sequence[str] | None = None) -> int:
         backoff_base_s=args.backoff,
         backoff_cap_s=args.backoff_cap,
         poll_interval_s=args.poll,
-        engine=args.engine,
         workers=args.workers,
         cell_chunk=args.cell_chunk,
         cell_store=args.cell_store,
@@ -1105,13 +1047,11 @@ def run_mc(argv: Sequence[str] | None = None) -> int:
         spec=spec,
         n_fft=args.fft_points,
         seed_strategy=args.seed_strategy,
-        engine=args.engine,
         calibrate=args.calibrate,
         calibration_samples_per_code=args.cal_samples,
         precision=args.precision,
         die_chunk=args.die_chunk,
         workers=args.workers,
-        chunk_size=args.chunk_size,
         progress=_stderr_progress if args.progress else None,
     )
     print(report.render())

@@ -23,21 +23,19 @@ for one die:
    them; clipped samples are excluded.
 3. Reconstruct subsequent conversions with the fitted weights.
 
-:class:`GainCalibrationArray` is the die-batched form: one
-:meth:`~repro.core.adc_array.AdcArray.convert_samples` pass captures the
-calibration ramp for D dies at once, the per-die weight fits run as
-stacked least-squares solves over one shared design assembly, and the
-calibrated reconstruction applies inside the vectorized conversion path
-(``(dies, samples)`` blocks in, calibrated code blocks out).  Die *d* of
-the array calibration is numerically equivalent to
-``GainCalibration(dies[d])`` under matched die seeds — both paths
-capture through the identical per-die calibration stream and solve the
-identical design matrix.
+:class:`GainCalibrationArray` is the die-batched form: it captures
+and fits every die of an :class:`~repro.core.adc_array.AdcArray` from
+that die's own row — the same capture and fit as
+:class:`GainCalibration`, so die *d* is bit-identical with
+``GainCalibration(dies[d])`` under matched die seeds — and applies the
+fitted weights to ``(dies, samples)`` blocks.  The calibration record is
+far longer than :data:`~repro.core.adc_array.PER_DIE_RECORD_SAMPLES`,
+so a die-batched capture would convert it one die row at a time anyway;
+capturing per die keeps only one die's design matrix alive at a time.
 
 On the behavioral model this recovers most of the mismatch-induced INL
-(verified in tests/test_calibration.py).  It is marked clearly as an
-extension in DESIGN.md/EXPERIMENTS.md and is excluded from the paper-
-reproduction numbers.
+(verified in tests/test_calibration.py).  It is an extension beyond the
+paper and is excluded from the paper-reproduction numbers.
 """
 
 from __future__ import annotations
@@ -71,26 +69,6 @@ def nominal_weights(config: AdcConfig) -> np.ndarray:
     return np.concatenate([stage, [1.0, base]])
 
 
-def _calibration_ramp(
-    config: AdcConfig, samples_per_code: int, overdrive: float
-) -> np.ndarray:
-    """The over-ranged calibration stimulus, shared by both engines."""
-    total = config.n_codes * samples_per_code
-    span = config.vref * (1.0 + overdrive)
-    return np.linspace(-span, span, total)
-
-
-def _calibration_target(config: AdcConfig, ramp: np.ndarray) -> np.ndarray:
-    """The ramp expressed in (fractional) output codes."""
-    return (ramp / config.vref + 1.0) * (config.n_codes / 2) - 0.5
-
-
-def _keep_mask(config: AdcConfig, target: np.ndarray) -> np.ndarray:
-    """Samples kept for the fit: clipped samples would bias it."""
-    margin = 4
-    return (target > margin) & (target < config.n_codes - 1 - margin)
-
-
 def _design_matrix(stage_codes, flash_codes) -> np.ndarray:
     """The least-squares design ``[stage decisions, flash, 1]``.
 
@@ -112,16 +90,42 @@ def _design_matrix(stage_codes, flash_codes) -> np.ndarray:
     )
 
 
-def _fit_weights(design: np.ndarray, target: np.ndarray, die: int | None):
-    """One die's least-squares solve with its rank check."""
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+def _capture_and_fit(
+    adc: PipelineAdc,
+    samples_per_code: int,
+    overdrive: float,
+    die: int | None = None,
+    noise_seed: int | None = None,
+    fast: bool = False,
+) -> np.ndarray:
+    """One die's calibration capture and least-squares weight fit.
+
+    The capture draws from the die's reserved calibration stream (or
+    from ``noise_seed``); ``die`` only names the die in a rank error.
+    """
+    config = adc.config
+    span = config.vref * (1.0 + overdrive)
+    ramp = np.linspace(-span, span, config.n_codes * samples_per_code)
+    result = adc.convert_samples(
+        ramp,
+        noise_seed=noise_seed,
+        stream=CALIBRATION_NOISE_STREAM,
+        fast=fast,
+    )
+    # The ramp in (fractional) output codes; samples near the rails are
+    # left out because clipping would bias the fit.
+    target = (ramp / config.vref + 1.0) * (config.n_codes / 2) - 0.5
+    margin = 4
+    keep = (target > margin) & (target < config.n_codes - 1 - margin)
+    design = _design_matrix(result.stage_codes, result.flash_codes)[keep]
+    weights, _, rank, _ = np.linalg.lstsq(design, target[keep], rcond=None)
     if rank < design.shape[1]:
         where = "" if die is None else f" on die {die}"
         raise CalibrationError(
             f"calibration capture is rank-deficient{where} — the ramp "
             "did not exercise every stage decision"
         )
-    return solution
+    return weights
 
 
 def _apply_weights(
@@ -194,15 +198,12 @@ class GainCalibration:
         Returns:
             The fitted weight vector ``[w_1..w_n, w_flash, offset]``.
         """
-        config = self.adc.config
-        ramp = _calibration_ramp(config, self.samples_per_code, self.overdrive)
-        result = self.adc.convert_samples(
-            ramp, noise_seed=noise_seed, stream=CALIBRATION_NOISE_STREAM
+        self._weights = _capture_and_fit(
+            self.adc,
+            self.samples_per_code,
+            self.overdrive,
+            noise_seed=noise_seed,
         )
-        target = _calibration_target(config, ramp)
-        keep = _keep_mask(config, target)
-        design = _design_matrix(result.stage_codes, result.flash_codes)[keep]
-        self._weights = _fit_weights(design, target[keep], die=None)
         return self._weights
 
     @property
@@ -261,16 +262,13 @@ class GainCalibration:
 class GainCalibrationArray:
     """Die-batched foreground calibration of a whole population.
 
-    One :meth:`~repro.core.adc_array.AdcArray.convert_samples` pass
-    captures the calibration ramp for every die (each die drawing its
-    capture noise from its own reserved calibration stream), one shared
-    design assembly feeds stacked per-die least-squares solves (each
-    with its own rank check), and the fitted weights apply to batched
-    ``(dies, samples)`` conversions.
+    Every die is captured and fitted from its own row (each die drawing
+    its capture noise from its own reserved calibration stream, each
+    solve rank-checked on its own), and the fitted weights apply to
+    batched ``(dies, samples)`` conversions.
 
-    Die *d* is numerically equivalent to
-    ``GainCalibration(array.dies[d])`` under matched die seeds: the
-    capture rows, the design matrices and the solves are identical.
+    Die *d* is bit-identical with ``GainCalibration(array.dies[d])``
+    under matched die seeds: both run the same capture and fit.
 
     Args:
         array: the die population to calibrate.
@@ -303,24 +301,20 @@ class GainCalibrationArray:
             The fitted weights, shape ``(dies, n_stages + 2)``; row *d*
             is ``[w_1..w_n, w_flash, offset]`` for die *d*.
         """
-        config = self.array.config
-        ramp = _calibration_ramp(config, self.samples_per_code, self.overdrive)
-        result = self.array.convert_samples(
-            ramp, stream=CALIBRATION_NOISE_STREAM
+        fast = self.array.precision == "fast"
+        self._weights = np.stack(
+            [
+                _capture_and_fit(
+                    adc,
+                    self.samples_per_code,
+                    self.overdrive,
+                    die=die,
+                    fast=fast,
+                )
+                for die, adc in enumerate(self.array.dies)
+            ]
         )
-        target = _calibration_target(config, ramp)
-        keep = _keep_mask(config, target)
-        # Shared assembly: one (dies, kept, n_weights) design stack …
-        design = _design_matrix(result.stage_codes, result.flash_codes)[
-            :, keep, :
-        ]
-        kept_target = target[keep]
-        # … then stacked per-die solves, each rank-checked on its own.
-        weights = np.empty((self.n_dies, design.shape[-1]))
-        for die in range(self.n_dies):
-            weights[die] = _fit_weights(design[die], kept_target, die=die)
-        self._weights = weights
-        return weights
+        return self._weights
 
     @property
     def weights(self) -> np.ndarray:

@@ -8,7 +8,7 @@ impairment switches that let tests and ablations turn physics on and off
 one mechanism at a time.
 
 :meth:`AdcConfig.paper_default` is the calibrated model of the published
-silicon (see EXPERIMENTS.md for the calibration record);
+silicon;
 :meth:`AdcConfig.ideal` is the same architecture with every impairment
 disabled, which must — and in the property tests does — behave as an
 ideal 12-bit quantizer.

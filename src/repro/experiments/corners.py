@@ -33,7 +33,7 @@ def run_corners(quick: bool = False) -> ExperimentResult:
         die_seeds=(1,),
         n_samples=2048 if quick else 4096,
     )
-    report = run_campaign(spec, engine="vectorized")
+    report = run_campaign(spec)
     report.batch.raise_first_failure()
 
     rows = tuple(
@@ -69,7 +69,7 @@ def run_corners(quick: bool = False) -> ExperimentResult:
         claims=claims,
         notes=(
             "Extension: the paper reports nominal conditions only.",
-            "Vectorized campaign engine: the corner x temperature grid "
+            "Campaign engine: the corner x temperature grid "
             "converts as (cells, samples) batches, bit-exact per cell "
             "with the serial DynamicTestbench loop.",
         ),
@@ -86,7 +86,7 @@ def run_pvt_signoff(quick: bool = False) -> ExperimentResult:
         seed=2026,
         n_samples=1024 if quick else 2048,
     )
-    report = run_campaign(spec, engine="vectorized")
+    report = run_campaign(spec)
     report.batch.raise_first_failure()
 
     signoff = report.signoff()

@@ -114,6 +114,6 @@ def run(quick: bool = False) -> ExperimentResult:
             "110 MS/s: in this behavioral model the settling error beyond "
             "the design point concentrates into low-order harmonics, so "
             "SFDR at 120-140 MS/s runs ~4 dB below the measured die while "
-            "SNR/SNDR track the paper.  Recorded in EXPERIMENTS.md.",
+            "SNR/SNDR track the paper.",
         ),
     )

@@ -134,8 +134,8 @@ def run(quick: bool = False) -> ExperimentResult:
         claims=claims,
         notes=(
             "One die (seed 1) is characterized, matching the single-die "
-            "nature of Table I; EXPERIMENTS.md records the across-die "
-            "bands from the Monte Carlo example.",
+            "nature of Table I; 'repro mc' measures the across-die "
+            "bands.",
         ),
     )
 

@@ -173,8 +173,7 @@ class ProfileRecorder:
     Entries are keyed by ``(stage, phase)``.  Timers nest: a frame's
     exclusive (*self*) time excludes its children, so entries partition
     the profiled wall time (see the module docstring).  Recorders are
-    cheap; ``repro profile`` uses a fresh one per engine configuration
-    so the columns never mix.
+    cheap; ``repro profile`` uses a fresh one per run.
 
     Not thread-safe — one recorder belongs to one thread of one
     process.  Cross-process aggregation happens via
@@ -328,8 +327,8 @@ def profile_step(
     idiom): measurement tasks wear it so whole-task wall time shows up
     under the ``task`` stage alongside the fine-grained engine stages::
 
-        @profile_step("task", "measure-die")
-        def measure_die(task): ...
+        @profile_step("task", "measure-die-chunk")
+        def measure_die_chunk(task): ...
     """
 
     def wrap(fn: Callable) -> Callable:

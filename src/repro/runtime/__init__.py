@@ -10,7 +10,7 @@ The runtime is the scaling layer every fan-out workload goes through:
   (die measurement tasks, yield reports) built on the runner.
 * :mod:`repro.runtime.campaign` — corner-batched PVT sign-off
   campaigns with resumable JSONL run ledgers, built on the runner and
-  the vectorized engine.
+  the die-batched :class:`~repro.core.adc_array.AdcArray`.
 * :mod:`repro.runtime.profiling` — opt-in per-stage wall-time
   instrumentation (the ``repro profile`` workloads and reports; the
   timing primitive itself lives in the leaf :mod:`repro.profiling`).
@@ -32,10 +32,8 @@ from repro.runtime.campaign import (
 )
 from repro.runtime.montecarlo import (
     DieMetrics,
-    DieTask,
     YieldReport,
     YieldSpec,
-    measure_die,
     run_yield_analysis,
 )
 from repro.runtime.profiling import (
@@ -57,14 +55,12 @@ __all__ = [
     "CampaignSpec",
     "CellMetrics",
     "DieMetrics",
-    "DieTask",
     "ProfileRecorder",
     "ProfileReport",
     "TaskOutcome",
     "YieldReport",
     "YieldSpec",
     "derive_seeds",
-    "measure_die",
     "profile_step",
     "profile_workload",
     "profiled",

@@ -279,9 +279,10 @@ def flatten_chunk_batch(
 ) -> BatchResult:
     """Per-item outcomes from a batch whose tasks were item chunks.
 
-    The vectorized engines dispatch *chunks* (a die chunk, a campaign
-    cell chunk) as single tasks whose values are per-item tuples; report
-    layers want one :class:`TaskOutcome` per item regardless of engine.
+    The yield and campaign workloads dispatch *chunks* (a die chunk, a
+    campaign cell chunk) as single tasks whose values are per-item
+    tuples; report layers want one :class:`TaskOutcome` per item
+    regardless of the chunking.
     A crashed chunk marks each of its items failed with the chunk's
     error; a successful chunk contributes one outcome per item, with the
     chunk wall time amortized evenly across the chunk's items.  The

@@ -11,15 +11,15 @@ a first-class batch workload:
   grid via :func:`repro.technology.corners.pvt_grid`; each
   :class:`CampaignCell` is one (corner, temperature, die) triple with a
   ``SeedSequence``-derived die seed.
-* **Execution** — cells dispatch through
+* **Execution** — cell chunks dispatch through
   :class:`~repro.runtime.batch.BatchRunner` (composable with
-  ``workers``); the vectorized engine converts whole cell chunks as
-  single :class:`~repro.core.adc_array.AdcArray` passes, mixing corners
-  and temperatures freely inside one ``(cells, samples)`` block.  Each
+  ``workers``); each chunk converts as a single
+  :class:`~repro.core.adc_array.AdcArray` pass, mixing corners and
+  temperatures freely inside one ``(cells, samples)`` block.  Each
   cell's noise streams derive from its die seed alone
   (:class:`repro.streams.DieStreams`), so a cell's codes are bit-exact
-  with the serial :class:`DynamicTestbench` on the same (point, seed) —
-  regardless of engine, chunking or worker count.
+  with the serial :class:`~repro.evaluation.testbench.DynamicTestbench`
+  on the same (point, seed), regardless of chunking or worker count.
 * **Checkpointing** — completed cells append to a JSONL run ledger as
   they finish; an interrupted campaign resumes from the ledger and
   recomputes nothing, and the resumed report is identical to a
@@ -47,7 +47,6 @@ from repro.core.config import FINGERPRINT_EXCLUDED, AdcConfig
 from repro.errors import ConfigurationError
 from repro.evaluation.datasheet import Datasheet, signoff_datasheet
 from repro.evaluation.reporting import format_table
-from repro.evaluation.testbench import DynamicTestbench
 from repro.profiling import profile_step
 from repro.runtime.batch import (
     BatchResult,
@@ -64,7 +63,7 @@ from repro.signal.spectrum import SpectrumAnalyzer
 from repro.technology.corners import Corner, OperatingPoint, pvt_grid
 from repro.technology.montecarlo import ProcessSample
 
-#: Default cells per vectorized chunk: the same cache-residency
+#: Default cells per chunk: the same cache-residency
 #: trade-off as the Monte Carlo die chunk (the records are the same
 #: shape — D rows x S samples; 8 measured best at sign-off record
 #: lengths of 2048-4096 samples on the benchmark workloads).
@@ -81,11 +80,10 @@ class CampaignSpec:
     A spec fully determines the campaign's cells (:meth:`cells`, in the
     shared :func:`~repro.technology.corners.pvt_grid` order) and its
     resume identity (:meth:`fingerprint` — what a ledger must match to
-    be reused).  Execution choices — engine, chunking, workers — live
-    outside the spec because they cannot change any cell's metrics.
-    Under ``repro profile`` a cell measurement appears as a
-    ``task/measure-cell`` (serial) or ``task/measure-cell-chunk``
-    (vectorized) entry.
+    be reused).  Execution choices — chunking, workers — live outside
+    the spec because they cannot change any cell's metrics.  Under
+    ``repro profile`` a cell chunk's measurement appears as a
+    ``task/measure-cell-chunk`` entry.
 
     Attributes:
         corners: process corners, grid-outermost.
@@ -101,10 +99,11 @@ class CampaignSpec:
         input_frequency: test-tone target frequency [Hz].
         n_samples: coherent FFT record length per cell.
         amplitude_fraction: stimulus amplitude relative to full scale.
-        precision: ``"exact"`` (default; cell metrics bit-exact across
-            engines) or ``"fast"`` — the vectorized-only float32 +
-            fused-draw tier.  Part of the fingerprint: a fast ledger
-            never resumes an exact campaign or vice versa.
+        precision: ``"exact"`` (default; cell metrics bit-exact with
+            :class:`~repro.evaluation.testbench.DynamicTestbench`) or
+            ``"fast"`` — the float32 + fused-draw tier.  Part of the
+            fingerprint: a fast ledger never resumes an exact campaign
+            or vice versa.
     """
 
     corners: tuple[Corner, ...] = tuple(Corner)
@@ -195,8 +194,8 @@ class CampaignSpec:
 
         The ledger stores this so a resume against a different grid,
         bench setting or converter configuration is rejected instead of
-        silently mixing incompatible cells.  Engine, chunking and
-        worker count are deliberately absent — they do not change the
+        silently mixing incompatible cells.  Chunking and worker count
+        are deliberately absent — they do not change the
         results, so a campaign may resume on a different execution
         configuration.
         """
@@ -287,7 +286,7 @@ class CampaignCell:
         )
 
     def process_sample(self, technology) -> ProcessSample:
-        """The cell as a die realization for the batched engine."""
+        """The cell as a die realization for :class:`AdcArray`."""
         return ProcessSample(
             operating_point=self.operating_point(technology),
             seed=self.die_seed,
@@ -299,9 +298,9 @@ class CampaignCell:
 class CellMetrics:
     """Measured dynamic metrics of one campaign cell.
 
-    Engine-independent by the per-die stream contract: the same cell
-    yields the same record from the serial testbench and from any
-    vectorized chunk it lands in.
+    Chunk-independent by the per-die stream contract: the same cell
+    yields the same record from the serial testbench and from any cell
+    chunk it lands in.
     """
 
     index: int
@@ -347,17 +346,8 @@ class CellMetrics:
 
 
 @dataclass(frozen=True)
-class CellTask:
-    """One worker's serial task: a single cell through the testbench."""
-
-    cell: CampaignCell
-    config: AdcConfig
-    spec: CampaignSpec
-
-
-@dataclass(frozen=True)
 class CellChunkTask:
-    """One worker's vectorized task: a cell chunk as one AdcArray pass."""
+    """One worker's task: a cell chunk as one AdcArray pass."""
 
     cells: tuple[CampaignCell, ...]
     config: AdcConfig
@@ -382,31 +372,6 @@ def _cell_metrics(cell: CampaignCell, metrics) -> CellMetrics:
     )
 
 
-@profile_step("task", "measure-cell")
-def measure_cell(task: CellTask) -> CellMetrics:
-    """Measure one cell with the serial :class:`DynamicTestbench`.
-
-    The reference implementation the vectorized engine is bit-exact
-    against; module-level and dependent only on ``task`` so it can run
-    in any worker of any partition.
-    """
-    spec = task.spec
-    if spec.precision != "exact":
-        raise ConfigurationError(
-            "the serial testbench is exact-only; run precision="
-            f"'{spec.precision}' campaigns on the vectorized engine"
-        )
-    bench = DynamicTestbench(
-        task.config,
-        n_samples=spec.n_samples,
-        amplitude_fraction=spec.amplitude_fraction,
-        die_seed=task.cell.die_seed,
-        operating_point=task.cell.operating_point(task.config.technology),
-    )
-    metrics = bench.measure(spec.conversion_rate, spec.input_frequency)
-    return _cell_metrics(task.cell, metrics)
-
-
 @profile_step("task", "measure-cell-chunk")
 def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
     """Measure a cell chunk in one die-batched pass.
@@ -415,9 +380,11 @@ def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
     as a single :class:`~repro.core.adc_array.AdcArray` of
     ``(cells, samples)`` blocks, then one batched FFT produces the
     per-cell metrics.  Cell-for-cell bit-exact with
-    :func:`measure_cell`: each cell draws only from its own
-    seed-derived streams, and the tone/analyzer settings mirror
-    :meth:`DynamicTestbench.measure` exactly.
+    :meth:`~repro.evaluation.testbench.DynamicTestbench.measure` on the
+    cell's (point, seed): each cell draws only from its own
+    seed-derived streams, and the tone/analyzer settings mirror the
+    testbench exactly.  Module-level and dependent only on ``task``, so
+    it can run in any worker of any partition.
     """
     spec = task.spec
     config = task.config
@@ -687,8 +654,6 @@ class CampaignReport:
         cells: completed cells, in grid order (ledger-resumed cells
             merged with freshly measured ones).
         batch: the underlying batch result of the *fresh* cells.
-        engine: execution engine ("pool", "vectorized" or "merged");
-            per-cell metrics are engine-independent.
         resumed_cells: how many cells came from the ledger.
         cell_range: the shard's ``[start, stop)`` cell range; None for
             a whole-grid run.  Completeness is judged against this
@@ -702,7 +667,6 @@ class CampaignReport:
     spec: CampaignSpec
     cells: tuple[CellMetrics, ...]
     batch: BatchResult
-    engine: str = "vectorized"
     resumed_cells: int = 0
     cell_range: tuple[int, int] | None = None
     cached_cells: int = 0
@@ -712,7 +676,6 @@ class CampaignReport:
         cls,
         spec: CampaignSpec,
         records: "dict[int, CellMetrics]",
-        engine: str = "merged",
     ) -> "CampaignReport":
         """A report assembled from already-measured cells.
 
@@ -730,7 +693,6 @@ class CampaignReport:
             batch=BatchResult(
                 outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0
             ),
-            engine=engine,
             resumed_cells=len(cells),
         )
 
@@ -881,7 +843,7 @@ class CampaignReport:
             " fast-precision," if self.spec.precision == "fast" else ""
         )
         lines.append(
-            f"campaign: {self.engine} engine,{tier}{shard}{resumed}"
+            f"campaign:{tier}{shard}{resumed}"
             f"{cached} {self.batch.workers} worker(s), "
             f"{self.batch.elapsed_s:.2f} s"
         )
@@ -890,7 +852,6 @@ class CampaignReport:
     def to_dict(self) -> dict:
         return {
             "schema": CAMPAIGN_LEDGER_SCHEMA,
-            "engine": self.engine,
             "spec": json_safe(dataclasses.asdict(self.spec)),
             "n_cells": self.n_cells,
             "n_complete": len(self.cells),
@@ -935,12 +896,10 @@ def _chunk_cells(
 def run_campaign(
     spec: CampaignSpec | None = None,
     config: AdcConfig | None = None,
-    engine: str = "vectorized",
     ledger_path: str | Path | None = None,
     resume: bool = False,
     cell_chunk: int | None = None,
     workers: int | None = 1,
-    chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
     mp_context: str | None = None,
     cell_range: tuple[int, int] | None = None,
@@ -952,24 +911,19 @@ def run_campaign(
     Args:
         spec: the grid and bench settings (default sign-off grid).
         config: converter configuration (paper default when omitted).
-        engine: ``"pool"`` measures one cell per task through the
-            serial :class:`DynamicTestbench`; ``"vectorized"``
-            converts cell chunks as single
-            :class:`~repro.core.adc_array.AdcArray` batches.  Per-cell
-            metrics are bit-exact across engines, chunkings and worker
-            counts.
         ledger_path: JSONL checkpoint file.  Completed cells append as
             they finish; with ``resume`` an existing ledger's cells are
             reused instead of recomputed.  Omitted: no checkpointing.
         resume: reuse a matching existing ledger at ``ledger_path``
             (fingerprint-checked) instead of starting fresh.
-        cell_chunk: cells per vectorized batch (vectorized engine only;
-            None splits evenly across the workers, bounded by a
-            cache-friendly default).
+        cell_chunk: cells per batch task, each converted as one
+            :class:`~repro.core.adc_array.AdcArray` pass (None splits
+            evenly across the workers, bounded by a cache-friendly
+            default); 1 checkpoints and isolates failures per cell.
+            Per-cell metrics are bit-exact for any chunking and worker
+            count.
         workers: worker processes (1 = serial, None = all CPUs).
-        chunk_size: pool dispatch chunk size (None = auto).
-        progress: progress callback (per cell for the pool engine, per
-            cell chunk for the vectorized engine).
+        progress: progress callback (per cell chunk).
         mp_context: multiprocessing start method override.
         cell_range: run only grid cells ``[start, stop)`` — a shard of
             the campaign (usually via
@@ -996,20 +950,6 @@ def run_campaign(
     if cell_chunk is not None and cell_chunk < 1:
         raise ConfigurationError(
             f"cell_chunk must be >= 1 or None, got {cell_chunk}"
-        )
-    if cell_chunk is not None and engine != "vectorized":
-        raise ConfigurationError(
-            "cell_chunk applies to the vectorized engine only; "
-            f"got cell_chunk={cell_chunk} with engine='{engine}'"
-        )
-    if engine not in ("pool", "vectorized"):
-        raise ConfigurationError(
-            f"engine must be 'pool' or 'vectorized', got '{engine}'"
-        )
-    if spec.precision == "fast" and engine != "vectorized":
-        raise ConfigurationError(
-            "precision='fast' needs the vectorized engine (the serial "
-            "testbench is exact-only)"
         )
     if cell_range is not None:
         start, stop = cell_range
@@ -1067,8 +1007,7 @@ def run_campaign(
     def checkpoint(update) -> None:
         outcome = update.latest
         if outcome is not None and outcome.ok:
-            value = outcome.value
-            fresh = value if isinstance(value, tuple) else (value,)
+            fresh = outcome.value
             if ledger is not None:
                 ledger.record(fresh)
             if store is not None:
@@ -1079,34 +1018,10 @@ def run_campaign(
 
     cell_by_index = {cell.index: cell for cell in cells}
 
-    runner = BatchRunner(
-        workers=workers,
-        chunk_size=chunk_size,
-        progress=checkpoint,
-        mp_context=mp_context,
-    )
+    runner = BatchRunner(workers=workers, progress=checkpoint, mp_context=mp_context)
     if not pending:
         batch = BatchResult(
             outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0
-        )
-    elif engine == "pool":
-        tasks = [CellTask(cell=cell, config=config, spec=spec) for cell in pending]
-        batch = runner.run(measure_cell, tasks)
-        # BatchRunner indexes outcomes by submission position; remap to
-        # grid cell indices (and record the die seed, matching the
-        # flattened vectorized outcomes) so a resumed run — where
-        # ``pending`` is a strict subset of the grid — merges and
-        # reports against the right cells.
-        batch = dataclasses.replace(
-            batch,
-            outcomes=tuple(
-                dataclasses.replace(
-                    outcome,
-                    index=pending[outcome.index].index,
-                    seed=pending[outcome.index].die_seed,
-                )
-                for outcome in batch.outcomes
-            ),
         )
     else:
         if cell_chunk is None:
@@ -1132,7 +1047,6 @@ def run_campaign(
         spec=spec,
         cells=tuple(merged[index] for index in sorted(merged)),
         batch=batch,
-        engine=engine,
         resumed_cells=len(completed),
         cell_range=cell_range,
         cached_cells=len(cached),

@@ -297,9 +297,8 @@ class CampaignDispatcher:
             way).
         backoff_cap_s: ceiling on the un-jittered backoff delay.
         poll_interval_s: subprocess poll cadence.
-        engine: execution engine for the shard subprocesses.
         workers: worker processes per shard subprocess.
-        cell_chunk: cells per vectorized batch inside each shard
+        cell_chunk: cells per batch task inside each shard
             (``1`` makes the ledger checkpoint per cell — what the
             fault-injection tests and CI gate use).
         cell_store: content-addressed cell store shared by all shards.
@@ -327,7 +326,6 @@ class CampaignDispatcher:
         backoff_base_s: float = 0.0,
         backoff_cap_s: float = 60.0,
         poll_interval_s: float = 0.05,
-        engine: str = "vectorized",
         workers: int = 1,
         cell_chunk: int | None = None,
         cell_store: str | Path | None = None,
@@ -356,7 +354,6 @@ class CampaignDispatcher:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.poll_interval_s = poll_interval_s
-        self.engine = engine
         self.workers = workers
         self.cell_chunk = cell_chunk
         self.cell_store = cell_store
@@ -439,8 +436,6 @@ class CampaignDispatcher:
             repr(float(spec.supply_scale)),
             "--precision",
             spec.precision,
-            "--engine",
-            self.engine,
             "--workers",
             str(self.workers),
             "--cell-range",

@@ -1,21 +1,17 @@
 """Monte Carlo yield analysis on the batch runtime.
 
-Two execution engines measure the same die population:
+Dies are grouped into chunks and each chunk is one batch task
+(:func:`measure_die_chunk`): one :class:`~repro.core.adc_array.AdcArray`
+converts the chunk, then batched FFTs and batched code-density
+histograms produce the per-die metrics.  With ``workers > 1`` the pool
+fans the chunks out across processes.
 
-* ``engine="pool"`` — one task per die (the PR-1 shape): a worker
-  builds the die's :class:`~repro.core.adc.PipelineAdc` and measures it
-  alone.  ``workers=1`` is the serial per-die loop.
-* ``engine="vectorized"`` — dies are grouped into chunks and each chunk
-  is converted as one :class:`~repro.core.adc_array.AdcArray` batch
-  (one NumPy pass for D dies x S samples, batched FFTs and batched
-  code-density histograms).  The engines compose: with ``workers > 1``
-  the pool fans the vectorized chunks out across processes.
-
-The engines are interchangeable by construction: per-die noise streams
-are derived from the die seed alone (:mod:`repro.streams`), so a die's
-output codes are bit-exact across engines, worker counts and chunk
-sizes; the derived SNDR/ENOB metrics agree to floating-point
-association in the batched FFT (documented tolerance ~1e-9 dB).
+Per-die noise streams are derived from the die seed alone
+(:mod:`repro.streams`), so a die's output codes are bit-exact with a
+lone :class:`~repro.core.adc.PipelineAdc` of the same die, for any
+worker count and die chunk; the derived SNDR/ENOB metrics agree to
+floating-point association in the batched FFT (documented tolerance
+~1e-9 dB).
 """
 
 from __future__ import annotations
@@ -27,9 +23,8 @@ import numpy as np
 
 from repro.core.adc import PipelineAdc
 from repro.core.adc_array import AdcArray
-from repro.core.calibration import GainCalibration, GainCalibrationArray
+from repro.core.calibration import GainCalibrationArray
 from repro.core.config import AdcConfig
-from repro.core.die_cache import build_die
 from repro.errors import ConfigurationError
 from repro.evaluation.reporting import format_table
 from repro.profiling import profile_step
@@ -50,10 +45,13 @@ from repro.technology.montecarlo import MonteCarloSampler, ProcessSample
 #: matching the legacy yield example.
 _RAMP_OVERDRIVE = 1.02
 
-#: Default die-chunk size for the vectorized engine when the pool is
-#: not consulted: big enough to amortize Python dispatch, small enough
-#: that the (dies, samples) working set stays cache-friendly.
-_DEFAULT_DIE_CHUNK = 8
+#: Default die-chunk size when the pool does not split the dies more
+#: finely.  The (dies, samples) tone block grows peak memory with the
+#: chunk (16 calibrated dies on 2 workers: 58.1 / 59.2 / 62.3 MB peak
+#: RSS at chunks 1 / 2 / 8) while wall time stays flat, because the
+#: long calibration and ramp records convert one die row at a time at
+#: any chunk size.
+_DEFAULT_DIE_CHUNK = 2
 
 
 @dataclass(frozen=True)
@@ -91,48 +89,6 @@ class YieldSpec:
             if inl_peak_lsb > self.max_inl_lsb:
                 return False
         return enob_bits >= self.min_enob and dnl_peak_lsb <= self.max_dnl_lsb
-
-
-@dataclass(frozen=True)
-class DieTask:
-    """Everything one worker needs to measure one die.
-
-    Attributes:
-        sample: the die realization (operating point + mismatch seed).
-        config: converter configuration.
-        spec: measurement conditions and screen limits.
-        n_fft: coherent capture length for the spectral measurement.
-        ramp_points_per_code: ramp samples per output code for the
-            code-density DNL measurement.
-        calibrate: run foreground gain calibration first and screen the
-            calibrated reconstruction (extension beyond the paper).
-        calibration_samples_per_code: calibration-ramp density when
-            ``calibrate`` is set.
-    """
-
-    sample: ProcessSample
-    config: AdcConfig
-    spec: YieldSpec = field(default_factory=YieldSpec)
-    n_fft: int = 4096
-    ramp_points_per_code: int = 16
-    calibrate: bool = False
-    calibration_samples_per_code: int = 8
-
-    def __post_init__(self) -> None:
-        if self.n_fft <= 0:
-            raise ConfigurationError("n_fft must be positive")
-        if self.ramp_points_per_code < 16:
-            # histogram_linearity needs >= 16 hits per code for a
-            # defined DNL; fail at task construction, not per die.
-            raise ConfigurationError(
-                "ramp_points_per_code must be >= 16 for a valid "
-                f"code-density histogram, got {self.ramp_points_per_code}"
-            )
-        if self.calibrate and self.calibration_samples_per_code < 4:
-            raise ConfigurationError(
-                "calibration_samples_per_code must be >= 4, got "
-                f"{self.calibration_samples_per_code}"
-            )
 
 
 @dataclass(frozen=True)
@@ -205,58 +161,6 @@ def _die_metrics(
     )
 
 
-@profile_step("task", "measure-die")
-def measure_die(task: DieTask) -> DieMetrics:
-    """Measure one die: dynamic (SNDR/ENOB) and static (DNL/INL) screens.
-
-    Module-level and dependent only on ``task``, so it can run in any
-    worker process of any batch partition and produce identical bits.
-    With ``task.calibrate`` the die is foreground-calibrated first
-    (capture on the die's reserved calibration stream) and the screens
-    measure the calibrated reconstruction.
-    """
-    die = task.sample
-    spec = task.spec
-    adc = build_die(
-        task.config,
-        spec.conversion_rate,
-        operating_point=die.operating_point,
-        seed=die.seed,
-    )
-    calibration = None
-    if task.calibrate:
-        calibration = GainCalibration(
-            adc, samples_per_code=task.calibration_samples_per_code
-        )
-        calibration.calibrate()
-    tone = SineGenerator.coherent(
-        spec.input_frequency, spec.conversion_rate, task.n_fft, amplitude=0.995
-    )
-    capture = adc.convert(tone, task.n_fft)
-    tone_codes = (
-        calibration.reconstruct(capture.stage_codes, capture.flash_codes)
-        if calibration
-        else capture.codes
-    )
-    metrics = SpectrumAnalyzer().analyze(tone_codes, spec.conversion_rate)
-    n_codes = task.config.n_codes
-    ramp = np.linspace(
-        -_RAMP_OVERDRIVE, _RAMP_OVERDRIVE, n_codes * task.ramp_points_per_code
-    )
-    ramp_result = adc.convert_samples(ramp)
-    ramp_codes = (
-        calibration.reconstruct(
-            ramp_result.stage_codes, ramp_result.flash_codes
-        )
-        if calibration
-        else ramp_result.codes
-    )
-    linearity = ramp_linearity(ramp_codes, n_codes)
-    return _die_metrics(
-        die, spec, metrics, linearity, calibrated=task.calibrate
-    )
-
-
 @dataclass(frozen=True)
 class DieChunkTask:
     """Everything one worker needs to measure a chunk of dies at once.
@@ -271,8 +175,9 @@ class DieChunkTask:
             capture and screen the calibrated reconstruction.
         calibration_samples_per_code: calibration-ramp density when
             ``calibrate`` is set.
-        precision: ``"exact"`` (bit-exact with :func:`measure_die`) or
-            ``"fast"`` (float32 + fused draws, statistically gated).
+        precision: ``"exact"`` (bit-exact per die with a lone
+            :class:`~repro.core.adc.PipelineAdc`) or ``"fast"`` (float32
+            + fused draws, statistically gated).
     """
 
     samples: tuple[ProcessSample, ...]
@@ -294,6 +199,8 @@ class DieChunkTask:
         if self.n_fft <= 0:
             raise ConfigurationError("n_fft must be positive")
         if self.ramp_points_per_code < 16:
+            # histogram_linearity needs >= 16 hits per code for a
+            # defined DNL; fail at task construction, not per die.
             raise ConfigurationError(
                 "ramp_points_per_code must be >= 16 for a valid "
                 f"code-density histogram, got {self.ramp_points_per_code}"
@@ -312,14 +219,15 @@ def measure_die_chunk(task: DieChunkTask) -> tuple[DieMetrics, ...]:
     One :class:`~repro.core.adc_array.AdcArray` converts the whole
     chunk — tone capture and linearity ramp — then batched FFTs and
     batched code-density histograms produce the per-die metrics.  Each
-    die's output codes are bit-exact with :func:`measure_die` on the
-    same die, because every die draws from its own seed-derived noise
-    streams regardless of the chunking.  With ``task.calibrate`` the
-    whole chunk is foreground-calibrated first —
-    :class:`~repro.core.calibration.GainCalibrationArray` captures the
-    calibration ramp for every die in one batched pass and the screens
-    measure the calibrated reconstruction, die-for-die equivalent to
-    the serial calibration in :func:`measure_die`.
+    die's output codes are bit-exact with a lone
+    :class:`~repro.core.adc.PipelineAdc` of the same die, because every
+    die draws from its own seed-derived noise streams regardless of the
+    chunking.  Module-level and dependent only on ``task``, so it can
+    run in any worker process of any batch partition.  With
+    ``task.calibrate`` every die is foreground-calibrated first
+    (:class:`~repro.core.calibration.GainCalibrationArray`, die-for-die
+    identical with :class:`~repro.core.calibration.GainCalibration`) and
+    the screens measure the calibrated reconstruction.
     """
     spec = task.spec
     adc = AdcArray(
@@ -381,8 +289,6 @@ class YieldReport:
     Attributes:
         batch: the underlying batch result (per-die outcomes, timing).
         spec: the screen the dies were measured against.
-        engine: execution engine that produced the batch ("pool" or
-            "vectorized"); per-die metrics are engine-independent.
         calibrated: whether the dies were foreground-calibrated before
             screening (extension beyond the paper).
         precision: the tier the dies were measured at (``"fast"`` is
@@ -391,7 +297,6 @@ class YieldReport:
 
     batch: BatchResult
     spec: YieldSpec
-    engine: str = "pool"
     calibrated: bool = False
     precision: str = "exact"
 
@@ -495,7 +400,7 @@ class YieldReport:
         calibration = " foreground-calibrated," if self.calibrated else ""
         tier = " fast-precision," if self.precision == "fast" else ""
         lines.append(
-            f"batch: {self.engine} engine,{calibration}{tier} "
+            f"batch:{calibration}{tier} "
             f"{self.batch.workers} worker(s), "
             f"chunk size {self.batch.chunk_size}, {self.batch.elapsed_s:.2f} s"
         )
@@ -503,7 +408,6 @@ class YieldReport:
 
     def to_dict(self) -> dict:
         document = self.batch.to_dict()
-        document["engine"] = self.engine
         document["calibrated"] = self.calibrated
         document["precision"] = self.precision
         document["spec"] = json_safe(self.spec)
@@ -531,27 +435,11 @@ def default_sampler(config: AdcConfig) -> MonteCarloSampler:
 def _chunk_dies(
     dies: list[ProcessSample], die_chunk: int
 ) -> list[tuple[ProcessSample, ...]]:
-    """Consecutive die chunks for the vectorized engine."""
+    """Consecutive die chunks, one batch task each."""
     return [
         tuple(dies[low : low + die_chunk])
         for low in range(0, len(dies), die_chunk)
     ]
-
-
-def _flatten_chunk_batch(
-    batch: BatchResult, chunks: list[tuple[ProcessSample, ...]]
-) -> BatchResult:
-    """Per-die outcomes from a per-chunk batch result.
-
-    Keeps :class:`YieldReport` engine-agnostic (see
-    :func:`repro.runtime.batch.flatten_chunk_batch`).
-    """
-    return flatten_chunk_batch(
-        batch,
-        chunks,
-        index_of=lambda die: die.index,
-        seed_of=lambda die: die.seed,
-    )
 
 
 def run_yield_analysis(
@@ -563,13 +451,11 @@ def run_yield_analysis(
     n_fft: int = 4096,
     ramp_points_per_code: int = 16,
     seed_strategy: str = "stream",
-    engine: str = "pool",
     calibrate: bool = False,
     calibration_samples_per_code: int = 8,
     precision: str = "exact",
     die_chunk: int | None = None,
     workers: int | None = 1,
-    chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
     mp_context: str | None = None,
 ) -> YieldReport:
@@ -579,38 +465,29 @@ def run_yield_analysis(
         n_dies: number of die realizations.
         seed: master seed for the PVT/mismatch draws; a given
             ``(seed, n_dies)`` pair reproduces the identical die set
-            regardless of ``engine``, ``workers`` and any chunk sizes.
+            regardless of ``workers`` and ``die_chunk``.
         config: converter configuration (paper default when omitted).
         spec: screening spec and measurement conditions.
         sampler: die sampler (industrial-range default when omitted).
         n_fft: coherent capture length per die.
         ramp_points_per_code: ramp density for the DNL screen.
         calibrate: foreground-calibrate every die first and screen the
-            calibrated reconstruction — per-die identical across
-            engines (the vectorized engine calibrates whole chunks in
-            one batched capture).
+            calibrated reconstruction.
         calibration_samples_per_code: calibration-ramp density.
-        precision: ``"exact"`` (default, bit-exact across engines) or
-            ``"fast"`` — the vectorized-only float32 + fused-draw tier,
-            statistically equivalent within the documented ENOB/SNDR
-            tolerance.
+        precision: ``"exact"`` (default, bit-exact per die) or
+            ``"fast"`` — the float32 + fused-draw tier, statistically
+            equivalent within the documented ENOB/SNDR tolerance.
         seed_strategy: ``"stream"`` draws dies from one sequential
             generator (bit-compatible with the legacy serial loops);
             ``"spawn"`` derives each die from its own
             ``SeedSequence.spawn`` child, so die *i* is identical no
             matter how large the batch is (sharding-stable).
-        engine: ``"pool"`` measures one die per task;
-            ``"vectorized"`` measures die chunks as single
-            :class:`~repro.core.adc_array.AdcArray` batches.  Per-die
-            output codes are bit-exact across engines.
-        die_chunk: dies per vectorized batch (vectorized engine only;
-            None splits evenly across the workers, bounded by a
-            cache-friendly default).
-        workers: worker processes (1 = serial, None = all CPUs); with
-            the vectorized engine the pool fans out die chunks.
-        chunk_size: pool dispatch chunk size (None = auto).
-        progress: progress callback (per die for the pool engine, per
-            die chunk for the vectorized engine).
+        die_chunk: dies per batch task (None splits evenly across the
+            workers, bounded by a memory-friendly default); 1 makes
+            every die its own task, the failure-isolation unit.
+        workers: worker processes (1 = serial, None = all CPUs); the
+            pool fans out die chunks.
+        progress: progress callback (per die chunk).
         mp_context: multiprocessing start method override.
     """
     config = config or AdcConfig.paper_default()
@@ -628,69 +505,33 @@ def run_yield_analysis(
         raise ConfigurationError(
             f"die_chunk must be >= 1 or None, got {die_chunk}"
         )
-    if die_chunk is not None and engine != "vectorized":
-        raise ConfigurationError(
-            "die_chunk applies to the vectorized engine only; "
-            f"got die_chunk={die_chunk} with engine='{engine}'"
+    runner = BatchRunner(workers=workers, progress=progress, mp_context=mp_context)
+    if die_chunk is None:
+        per_worker = -(-n_dies // runner.resolve_workers(n_dies))
+        die_chunk = max(1, min(per_worker, _DEFAULT_DIE_CHUNK))
+    chunks = _chunk_dies(dies, die_chunk)
+    tasks = [
+        DieChunkTask(
+            samples=chunk,
+            config=config,
+            spec=spec,
+            n_fft=n_fft,
+            ramp_points_per_code=ramp_points_per_code,
+            calibrate=calibrate,
+            calibration_samples_per_code=calibration_samples_per_code,
+            precision=precision,
         )
-    if precision not in ("exact", "fast"):
-        raise ConfigurationError(
-            f"precision must be 'exact' or 'fast', got '{precision}'"
-        )
-    if precision == "fast" and engine != "vectorized":
-        raise ConfigurationError(
-            "precision='fast' needs the vectorized engine (the per-die "
-            f"path is exact-only); got engine='{engine}'"
-        )
-    runner = BatchRunner(
-        workers=workers,
-        chunk_size=chunk_size,
-        progress=progress,
-        mp_context=mp_context,
+        for chunk in chunks
+    ]
+    batch = flatten_chunk_batch(
+        runner.run(measure_die_chunk, tasks),
+        chunks,
+        index_of=lambda die: die.index,
+        seed_of=lambda die: die.seed,
     )
-    if engine == "pool":
-        tasks = [
-            DieTask(
-                sample=die,
-                config=config,
-                spec=spec,
-                n_fft=n_fft,
-                ramp_points_per_code=ramp_points_per_code,
-                calibrate=calibrate,
-                calibration_samples_per_code=calibration_samples_per_code,
-            )
-            for die in dies
-        ]
-        batch = runner.run(measure_die, tasks)
-    elif engine == "vectorized":
-        if die_chunk is None:
-            per_worker = -(-n_dies // runner.resolve_workers(n_dies))
-            die_chunk = max(1, min(per_worker, _DEFAULT_DIE_CHUNK))
-        chunks = _chunk_dies(dies, die_chunk)
-        tasks = [
-            DieChunkTask(
-                samples=chunk,
-                config=config,
-                spec=spec,
-                n_fft=n_fft,
-                ramp_points_per_code=ramp_points_per_code,
-                calibrate=calibrate,
-                calibration_samples_per_code=calibration_samples_per_code,
-                precision=precision,
-            )
-            for chunk in chunks
-        ]
-        batch = _flatten_chunk_batch(
-            runner.run(measure_die_chunk, tasks), chunks
-        )
-    else:
-        raise ConfigurationError(
-            f"engine must be 'pool' or 'vectorized', got '{engine}'"
-        )
     return YieldReport(
         batch=batch,
         spec=spec,
-        engine=engine,
         calibrated=calibrate,
         precision=precision,
     )

@@ -8,11 +8,11 @@ without touching this package's init.  This module re-exports all of it
 and adds the workload layer ``repro profile`` runs:
 
 * :func:`profile_workload` — run a named workload (``dynamic-screen``,
-  ``yield-screen``, ``pvt-campaign``) once per engine with a fresh
-  recorder, producing a :class:`ProfileReport`.
-* :class:`ProfileReport` — the serial-vs-vectorized side-by-side
-  per-stage cost breakdown (counts, total/mean wall time, % of run)
-  with a stable JSON document (schema ``repro.profile-report/v1``).
+  ``yield-screen``, ``pvt-campaign``) once with a fresh recorder,
+  producing a :class:`ProfileReport`.
+* :class:`ProfileReport` — the per-stage cost breakdown (counts,
+  total/mean wall time, % of run) with a stable JSON document (schema
+  ``repro.profile-report/v1``).
 
 Reading the numbers: *total* is inclusive wall time (children
 included); *% of run* is the stage's **exclusive** share — exclusive
@@ -50,8 +50,6 @@ from repro.profiling import (  # noqa: F401 — re-exported public surface
 from repro.runtime.campaign import (
     CampaignSpec,
     CellChunkTask,
-    CellTask,
-    measure_cell,
     measure_cell_chunk,
     run_campaign,
 )
@@ -62,28 +60,26 @@ from repro.technology.corners import Corner
 #: The workloads ``repro profile`` can run.
 WORKLOADS = ("dynamic-screen", "yield-screen", "pvt-campaign")
 
-#: The engine columns of a profile report.  ``serial`` is the per-die
-#: path (``engine="pool"`` with one worker); ``vectorized`` is the
-#: die-batched :class:`~repro.core.adc_array.AdcArray` path.
-ENGINES = ("serial", "vectorized")
+#: The engine name of a profile document's single ``engines`` entry
+#: (the die-batched :class:`~repro.core.adc_array.AdcArray` path; the
+#: name is the one earlier two-column reports gave the same path).
+ENGINE = "vectorized"
 
-#: The root stage every profiled engine run is wrapped in.
+#: The root stage every profiled run is wrapped in.
 RUN_STAGE = "run"
 
 
 @dataclass(frozen=True)
-class EngineProfile:
-    """One engine's profiled run of one workload.
+class RunProfile:
+    """One profiled run of one workload.
 
     Attributes:
-        engine: ``"serial"`` or ``"vectorized"``.
         wall_s: inclusive wall time of the whole run (the
-            ``run/<engine>`` root entry).
+            ``run/vectorized`` root entry).
         n_items: cells (or dies) the workload measured.
         stats: the recorder's per-``(stage, phase)`` entries.
     """
 
-    engine: str
     wall_s: float
     n_items: int
     stats: tuple[StageStat, ...]
@@ -126,7 +122,7 @@ class EngineProfile:
 
     def to_dict(self) -> dict:
         return {
-            "engine": self.engine,
+            "engine": ENGINE,
             "wall_s": self.wall_s,
             "n_items": self.n_items,
             "item_wall_s": self.wall_s / self.n_items if self.n_items else 0.0,
@@ -142,97 +138,59 @@ class EngineProfile:
 
 @dataclass(frozen=True)
 class ProfileReport:
-    """Per-stage cost breakdown of one workload across engines.
+    """Per-stage cost breakdown of one workload.
 
     Attributes:
         workload: the workload name (one of :data:`WORKLOADS`).
-        n_items: cells (or dies) each engine measured.
+        n_items: cells (or dies) the run measured.
         fft_points: record length per cell.
-        engines: one :class:`EngineProfile` per profiled engine.
+        profile: the profiled run.
     """
 
     workload: str
     n_items: int
     fft_points: int
-    engines: tuple[EngineProfile, ...]
-
-    def engine(self, name: str) -> EngineProfile:
-        for profile in self.engines:
-            if profile.engine == name:
-                return profile
-        raise ConfigurationError(
-            f"no '{name}' engine in this report "
-            f"(have {[p.engine for p in self.engines]})"
-        )
-
-    def _row_keys(self) -> list[tuple[str, str | None]]:
-        """Union of (stage, phase) keys, first engine's self-time order."""
-        keys: list[tuple[str, str | None]] = []
-        for profile in self.engines:
-            for entry in profile.stats:
-                key = (entry.stage, entry.phase)
-                if key not in keys:
-                    keys.append(key)
-        return keys
+    profile: RunProfile
 
     def render(self) -> str:
-        """The side-by-side textual breakdown."""
-        headers: list[str] = ["stage", "phase"]
-        for profile in self.engines:
-            name = profile.engine
-            headers += [
-                f"{name} n",
-                f"{name} total [ms]",
-                f"{name} mean [us]",
-                f"{name} %run",
-            ]
+        """The textual breakdown."""
+        profile = self.profile
         partition_rows = []
         overlay_rows = []
-        for stage, phase in self._row_keys():
-            row: list[str] = [stage, phase or "-"]
-            for profile in self.engines:
-                entry = profile.stat(stage, phase)
-                if entry is None or entry.count == 0:
-                    row += ["-", "-", "-", "-"]
-                    continue
-                share = (
-                    entry.self_s / profile.wall_s if profile.wall_s else 0.0
-                )
-                row += [
-                    str(entry.count),
-                    f"{entry.total_s * 1e3:.2f}",
-                    f"{entry.total_s / entry.count * 1e6:.1f}",
-                    f"{share * 100:.1f}"
-                    if stage not in OVERLAY_STAGES
-                    else "-",
-                ]
-            if stage in OVERLAY_STAGES:
-                overlay_rows.append(tuple(row))
-            else:
-                partition_rows.append(tuple(row))
-        lines = [
-            format_table(
-                tuple(headers),
-                partition_rows + overlay_rows,
-                title=(
-                    f"--- repro profile: {self.workload} "
-                    f"({self.n_items} cells x {self.fft_points} samples, "
-                    "%run columns sum to 100 over the partition; "
-                    "dispatch/task overlay the stages above) ---"
+        for entry in profile.stats:
+            if entry.count == 0:
+                continue
+            overlay = entry.stage in OVERLAY_STAGES
+            share = entry.self_s / profile.wall_s if profile.wall_s else 0.0
+            row = (
+                entry.stage,
+                entry.phase or "-",
+                str(entry.count),
+                f"{entry.total_s * 1e3:.2f}",
+                f"{entry.total_s / entry.count * 1e6:.1f}",
+                "-" if overlay else f"{share * 100:.1f}",
+            )
+            (overlay_rows if overlay else partition_rows).append(row)
+        noise = profile.stage_share("noise-draw")
+        return "\n".join(
+            [
+                format_table(
+                    ("stage", "phase", "n", "total [ms]", "mean [us]", "%run"),
+                    partition_rows + overlay_rows,
+                    title=(
+                        f"--- repro profile: {self.workload} "
+                        f"({self.n_items} cells x {self.fft_points} "
+                        "samples, %run sums to 100 over the partition; "
+                        "dispatch/task overlay the stages above) ---"
+                    ),
                 ),
-            ),
-            "",
-        ]
-        for profile in self.engines:
-            noise = profile.stage_share("noise-draw")
-            lines.append(
-                f"{profile.engine}: {profile.wall_s:.3f} s wall "
+                "",
+                f"{profile.wall_s:.3f} s wall "
                 f"({profile.wall_s / profile.n_items * 1e3:.1f} ms/cell), "
                 f"{profile.attributed_fraction() * 100:.0f}% attributed "
-                f"to named stages, noise-draw share "
-                f"{noise * 100:.0f}%"
-            )
-        return "\n".join(lines)
+                f"to named stages, noise-draw share {noise * 100:.0f}%",
+            ]
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -240,71 +198,40 @@ class ProfileReport:
             "workload": self.workload,
             "n_items": self.n_items,
             "fft_points": self.fft_points,
-            "engines": [profile.to_dict() for profile in self.engines],
+            "engines": [self.profile.to_dict()],
         }
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _dynamic_screen_spec(dies: int, fft_points: int) -> CampaignSpec:
-    """One nominal-point campaign spec: TT/27C, ``dies`` dies."""
-    return CampaignSpec(
+def _run_dynamic_screen(dies: int, fft_points: int, config: AdcConfig) -> int:
+    """The dynamic-screen workload: tone + FFT per cell at TT/27C.
+
+    The exact campaign cell path: every cell in one
+    :func:`~repro.runtime.campaign.measure_cell_chunk` pass.
+    """
+    spec = CampaignSpec(
         corners=(Corner.TT,),
         temperatures_c=(27.0,),
         n_dies=dies,
         n_samples=fft_points,
     )
-
-
-def _run_dynamic_screen(
-    engine: str, dies: int, fft_points: int, config: AdcConfig
-) -> int:
-    """The dynamic-screen workload: tone + FFT per cell, one PVT point.
-
-    The exact campaign cell path: serial cells go through
-    :func:`~repro.runtime.campaign.measure_cell` (one
-    :class:`~repro.evaluation.testbench.DynamicTestbench` each),
-    vectorized cells through one
-    :func:`~repro.runtime.campaign.measure_cell_chunk` pass.
-    """
-    spec = _dynamic_screen_spec(dies, fft_points)
-    cells = spec.cells()
-    if engine == "serial":
-        for cell in cells:
-            measure_cell(CellTask(cell=cell, config=config, spec=spec))
-    else:
-        measure_cell_chunk(
-            CellChunkTask(cells=tuple(cells), config=config, spec=spec)
-        )
+    cells = tuple(spec.cells())
+    measure_cell_chunk(CellChunkTask(cells=cells, config=config, spec=spec))
     return len(cells)
 
 
-def _run_yield_screen(
-    engine: str, dies: int, fft_points: int, config: AdcConfig
-) -> int:
+def _run_yield_screen(dies: int, fft_points: int, config: AdcConfig) -> int:
     """The ``repro mc`` workload: dynamic + static screen per die."""
-    run_yield_analysis(
-        n_dies=dies,
-        config=config,
-        n_fft=fft_points,
-        engine="pool" if engine == "serial" else "vectorized",
-        workers=1,
-    )
+    run_yield_analysis(n_dies=dies, config=config, n_fft=fft_points, workers=1)
     return dies
 
 
-def _run_pvt_campaign(
-    engine: str, dies: int, fft_points: int, config: AdcConfig
-) -> int:
+def _run_pvt_campaign(dies: int, fft_points: int, config: AdcConfig) -> int:
     """The sign-off grid workload: all corners x temperatures x dies."""
     spec = CampaignSpec(n_dies=dies, n_samples=fft_points)
-    run_campaign(
-        spec,
-        config=config,
-        engine="pool" if engine == "serial" else "vectorized",
-        workers=1,
-    )
+    run_campaign(spec, config=config, workers=1)
     return spec.n_cells
 
 
@@ -319,65 +246,45 @@ def profile_workload(
     workload: str,
     dies: int = 8,
     fft_points: int = 4096,
-    engines: tuple[str, ...] = ENGINES,
     config: AdcConfig | None = None,
 ) -> ProfileReport:
-    """Profile one named workload, once per engine.
+    """Profile one named workload.
 
-    Each engine runs with a fresh recorder under a ``run/<engine>``
-    root, with one worker, so every stage timer stays in-process and
-    the exclusive times partition the run exactly.  Profiling never
-    touches a random stream, so the codes each engine produces here are
-    bit-exact with an unprofiled run.
+    The run starts with a cold die cache and a fresh recorder under a
+    ``run/vectorized`` root, with one worker, so every stage timer
+    stays in-process and the exclusive times partition the run
+    exactly.  Profiling never touches a random stream, so the codes
+    produced here are bit-exact with an unprofiled run.
 
     Args:
         workload: one of :data:`WORKLOADS`.
         dies: dies (cells) per operating point.
         fft_points: record length per cell.
-        engines: which engine columns to run (subset of
-            :data:`ENGINES`).
         config: converter configuration (paper default when omitted).
 
     Returns:
-        The side-by-side :class:`ProfileReport`.
+        The :class:`ProfileReport`.
     """
     if workload not in _WORKLOAD_RUNNERS:
         raise ConfigurationError(
             f"unknown profile workload '{workload}' "
             f"(choose from {', '.join(WORKLOADS)})"
         )
-    for engine in engines:
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown profile engine '{engine}' "
-                f"(choose from {', '.join(ENGINES)})"
-            )
     if dies < 1:
         raise ConfigurationError(f"dies must be >= 1, got {dies}")
     config = config or AdcConfig.paper_default()
-    runner = _WORKLOAD_RUNNERS[workload]
-    profiles = []
-    n_items = 0
-    for engine in engines:
-        # Every engine column starts cold: a warm die cache from the
-        # previous engine would erase its build/die column and skew the
-        # comparison.
-        die_cache.clear()
-        recorder = ProfileRecorder()
-        with profiled(recorder):
-            with recorder.record(RUN_STAGE, engine):
-                n_items = runner(engine, dies, fft_points, config)
-        profiles.append(
-            EngineProfile(
-                engine=engine,
-                wall_s=recorder.total_s(RUN_STAGE, engine),
-                n_items=n_items,
-                stats=tuple(recorder.stats()),
-            )
-        )
+    die_cache.clear()
+    recorder = ProfileRecorder()
+    with profiled(recorder):
+        with recorder.record(RUN_STAGE, ENGINE):
+            n_items = _WORKLOAD_RUNNERS[workload](dies, fft_points, config)
     return ProfileReport(
         workload=workload,
         n_items=n_items,
         fft_points=fft_points,
-        engines=tuple(profiles),
+        profile=RunProfile(
+            wall_s=recorder.total_s(RUN_STAGE, ENGINE),
+            n_items=n_items,
+            stats=tuple(recorder.stats()),
+        ),
     )

@@ -14,13 +14,13 @@ turns the shard ledgers back into one :class:`CampaignReport`:
   rejected, not mixed in;
 * overlapping cells are tolerated only when the records are identical
   (two shards that legitimately recomputed the same cell agree bit for
-  bit by the engine-invariance contract); conflicting records are an
+  bit by the chunk-invariance contract); conflicting records are an
   error naming the cell and both ledgers;
 * gaps are not an error — the merged report is simply incomplete and
   lists the missing cell indices, so a scheduler can re-dispatch them.
 
-Because per-cell metrics are bit-exact across engines, chunkings and
-worker counts, the merged report's cells are bit-identical to the
+Because per-cell metrics are bit-exact across chunkings and worker
+counts, the merged report's cells are bit-identical to the
 single-process campaign over the same grid.
 """
 
@@ -78,7 +78,7 @@ def run_campaign_shard(
     """Run one shard — :func:`run_campaign` over the shard's cell range.
 
     All :func:`run_campaign` keyword arguments pass through (ledger,
-    resume, engine, workers, cell store, ...).  The returned report
+    resume, cell chunk, workers, cell store, ...).  The returned report
     covers only the shard's cells; merge the shard ledgers with
     :func:`merge_campaign_ledgers` for the campaign-wide report.
     """
@@ -173,8 +173,8 @@ def merge_campaign_ledgers(
             pay per-batch fsyncs.
 
     Returns:
-        A :class:`CampaignReport` with ``engine="merged"`` over the
-        union of the shards' cells.  Gaps leave the report incomplete
+        A :class:`CampaignReport` over the union of the shards' cells
+        (every cell counted as resumed).  Gaps leave the report incomplete
         (``report.missing_cell_indices()`` lists them); cells
         bit-identical to the single-process run.
 

@@ -54,14 +54,17 @@ DISPATCH_REPORT_SCHEMA = "repro.dispatch-report/v1"
 #: (:meth:`repro.profiling.ProfileRecorder.to_dict`).
 PROFILE_SCHEMA = "repro.profile/v1"
 
-#: Side-by-side engine profile reports (``repro profile --json``).
+#: Per-stage profile reports (``repro profile --json``); the
+#: ``engines`` list holds one entry since the serial column was removed.
 PROFILE_REPORT_SCHEMA = "repro.profile-report/v1"
 
 #: Engine-comparison benchmark artifacts
 #: (``benchmarks/bench_engines.py``).  v4 added the pvt-campaign
 #: workload and environment metadata; v5 the vectorized-fast
-#: configuration; v6 the sharded-campaign workload.
-BENCH_ENGINES_SCHEMA = "repro.bench-engines/v6"
+#: configuration; v6 the sharded-campaign workload; v7 dropped the
+#: ``vectorized`` and ``vectorized+pool`` configurations and the
+#: per-configuration ``engine`` key (one execution path).
+BENCH_ENGINES_SCHEMA = "repro.bench-engines/v7"
 
 #: One perf-trajectory history entry
 #: (``benchmarks/bench_engines.py --history-dir``).

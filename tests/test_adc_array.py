@@ -1,9 +1,10 @@
 """Tests for the die-batched engine stack.
 
 The load-bearing contract: die *d* of any batch is bit-exact with the
-same die simulated alone, regardless of die chunking, worker count or
-execution engine.  Everything else (stacked draws, batched evaluation,
-input validation) hangs off that.
+same die simulated alone, regardless of die chunking or worker count.
+Everything else (stacked draws, batched evaluation, input validation)
+hangs off that.  The yield screen's rows against the per-die reference
+live in ``tests/test_chunk_equivalence.py``.
 """
 
 import numpy as np
@@ -356,30 +357,14 @@ class TestBatchedEvaluation:
 
 
 class TestVectorizedEngine:
-    """ISSUE acceptance: --engine vectorized == --engine pool."""
+    """The yield screen on the die-chunk path."""
 
     KWARGS = dict(n_dies=3, seed=77, n_fft=1024)
-
-    def test_matches_pool_engine(self, paper_config):
-        pool = run_yield_analysis(config=paper_config, **self.KWARGS)
-        vec = run_yield_analysis(
-            config=paper_config, engine="vectorized", **self.KWARGS
-        )
-        assert vec.engine == "vectorized"
-        assert pool.yield_fraction == vec.yield_fraction
-        for a, b in zip(pool.dies, vec.dies):
-            assert (a.index, a.seed, a.passed) == (b.index, b.seed, b.passed)
-            # Codes are bit-exact; the spectral metrics pass through a
-            # batched FFT, so association order may differ by ulps.
-            assert b.sndr_db == pytest.approx(a.sndr_db, rel=1e-9)
-            assert b.enob_bits == pytest.approx(a.enob_bits, rel=1e-9)
-            assert b.dnl_peak_lsb == a.dnl_peak_lsb
 
     def test_die_chunk_invariance(self, paper_config):
         reports = [
             run_yield_analysis(
                 config=paper_config,
-                engine="vectorized",
                 die_chunk=chunk,
                 **self.KWARGS,
             )
@@ -393,12 +378,9 @@ class TestVectorizedEngine:
                 assert b.passed == a.passed
 
     def test_worker_invariance(self, paper_config):
-        serial = run_yield_analysis(
-            config=paper_config, engine="vectorized", die_chunk=1, **self.KWARGS
-        )
+        serial = run_yield_analysis(config=paper_config, die_chunk=1, **self.KWARGS)
         pooled = run_yield_analysis(
             config=paper_config,
-            engine="vectorized",
             die_chunk=1,
             workers=2,
             **self.KWARGS,
@@ -410,33 +392,23 @@ class TestVectorizedEngine:
             assert b.sndr_db == pytest.approx(a.sndr_db, rel=1e-12)
 
     def test_unknown_engine_rejected(self, paper_config):
-        with pytest.raises(ConfigurationError):
-            run_yield_analysis(
-                config=paper_config, engine="turbo", **self.KWARGS
-            )
+        """There is one execution path: no engine can be selected."""
+        with pytest.raises(TypeError, match="engine"):
+            run_yield_analysis(config=paper_config, engine="pool", **self.KWARGS)
 
     def test_bad_die_chunk_rejected(self, paper_config):
         with pytest.raises(ConfigurationError):
             run_yield_analysis(
                 config=paper_config,
-                engine="vectorized",
                 die_chunk=0,
                 **self.KWARGS,
             )
 
-    def test_die_chunk_with_pool_engine_rejected(self, paper_config):
-        """The flag must not be silently ignored on the default engine."""
-        with pytest.raises(ConfigurationError):
-            run_yield_analysis(
-                config=paper_config, die_chunk=4, **self.KWARGS
-            )
-
-    def test_report_document_carries_engine(self, paper_config):
+    def test_report_document(self, paper_config):
         import json
 
-        report = run_yield_analysis(
-            config=paper_config, engine="vectorized", **self.KWARGS
-        )
+        report = run_yield_analysis(config=paper_config, **self.KWARGS)
         document = json.loads(report.to_json())
-        assert document["engine"] == "vectorized"
+        assert "engine" not in document
         assert document["yield"]["n_dies"] == 3
+        assert document["n_tasks"] == 3

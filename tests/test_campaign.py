@@ -3,9 +3,10 @@
 The load-bearing contracts:
 
 * **Corner-batched equivalence** — every (corner, temperature, die)
-  cell of a vectorized (points x dies) batch is bit-exact with the
-  serial :class:`DynamicTestbench` on the same operating point and die
-  seed, regardless of cell chunking and worker count.
+  cell of a (points x dies) batch is bit-exact with the serial
+  :class:`DynamicTestbench` on the same operating point and die seed,
+  regardless of cell chunking and worker count (the chunk x worker
+  matrix lives in ``tests/test_chunk_equivalence.py``).
 * **Resume determinism** — a campaign interrupted mid-grid and resumed
   from its ledger produces the identical sign-off report to a
   straight-through run, recomputing nothing already checkpointed.
@@ -46,8 +47,8 @@ def small_spec():
 
 
 @pytest.fixture(scope="module")
-def vectorized_report(small_spec):
-    return run_campaign(small_spec, engine="vectorized")
+def campaign_report(small_spec):
+    return run_campaign(small_spec)
 
 
 class TestGridPlanning:
@@ -161,11 +162,11 @@ class TestCornerBatchedEquivalence:
             assert np.array_equal(batch.codes[cell], solo.codes)
 
     def test_campaign_metrics_match_serial_testbench(
-        self, small_spec, vectorized_report, paper_config
+        self, small_spec, campaign_report, paper_config
     ):
         """Every campaign cell reproduces DynamicTestbench.measure."""
-        assert vectorized_report.complete
-        for cell in vectorized_report.cells:
+        assert campaign_report.complete
+        for cell in campaign_report.cells:
             plan = small_spec.cells()[cell.index]
             bench = DynamicTestbench(
                 paper_config,
@@ -185,39 +186,21 @@ class TestCornerBatchedEquivalence:
             assert cell.sfdr_db == pytest.approx(solo.sfdr_db, rel=1e-9)
             assert cell.enob_bits == pytest.approx(solo.enob_bits, rel=1e-9)
 
-    def test_pool_engine_matches_vectorized(
-        self, small_spec, vectorized_report
-    ):
-        pool = run_campaign(small_spec, engine="pool")
-        for a, b in zip(pool.cells, vectorized_report.cells):
-            assert (a.index, a.seed, a.corner, a.temperature_c) == (
-                b.index,
-                b.seed,
-                b.corner,
-                b.temperature_c,
-            )
-            assert b.sndr_db == pytest.approx(a.sndr_db, rel=1e-9)
-
-    def test_cell_chunk_invariance(self, small_spec, vectorized_report):
+    def test_cell_chunk_invariance(self, small_spec, campaign_report):
         for chunk in (1, 3):
-            report = run_campaign(
-                small_spec, engine="vectorized", cell_chunk=chunk
-            )
-            for a, b in zip(vectorized_report.cells, report.cells):
+            report = run_campaign(small_spec, cell_chunk=chunk)
+            for a, b in zip(campaign_report.cells, report.cells):
                 assert b.sndr_db == pytest.approx(a.sndr_db, rel=1e-12)
 
-    def test_worker_invariance(self, small_spec, vectorized_report):
-        report = run_campaign(
-            small_spec, engine="vectorized", cell_chunk=2, workers=2
-        )
-        for a, b in zip(vectorized_report.cells, report.cells):
+    def test_worker_invariance(self, small_spec, campaign_report):
+        report = run_campaign(small_spec, cell_chunk=2, workers=2)
+        for a, b in zip(campaign_report.cells, report.cells):
             assert b.sndr_db == pytest.approx(a.sndr_db, rel=1e-12)
 
     def test_engine_validation(self, small_spec):
-        with pytest.raises(ConfigurationError):
-            run_campaign(small_spec, engine="turbo")
-        with pytest.raises(ConfigurationError):
-            run_campaign(small_spec, engine="pool", cell_chunk=4)
+        """One execution path: no engine to pick, only a chunk size."""
+        with pytest.raises(TypeError, match="engine"):
+            run_campaign(small_spec, engine="pool")
         with pytest.raises(ConfigurationError):
             run_campaign(small_spec, cell_chunk=0)
 
@@ -235,7 +218,7 @@ class TestLedgerResume:
         )
 
     def test_resume_after_interrupt_is_identical(
-        self, small_spec, vectorized_report, tmp_path
+        self, small_spec, campaign_report, tmp_path
     ):
         ledger = tmp_path / "run.jsonl"
 
@@ -253,7 +236,6 @@ class TestLedgerResume:
         with pytest.raises(Interrupt):
             run_campaign(
                 small_spec,
-                engine="vectorized",
                 cell_chunk=2,
                 ledger_path=ledger,
                 progress=bomb,
@@ -263,26 +245,23 @@ class TestLedgerResume:
 
         resumed = run_campaign(
             small_spec,
-            engine="vectorized",
             cell_chunk=3,  # different chunking on purpose
             ledger_path=ledger,
             resume=True,
         )
         assert resumed.resumed_cells == checkpointed
         assert resumed.complete
-        assert self._tables(resumed) == self._tables(vectorized_report)
+        assert self._tables(resumed) == self._tables(campaign_report)
         # Only the remaining cells were dispatched...
         assert resumed.batch.n_tasks == small_spec.n_cells - checkpointed
         # ...and the ledger now holds the full grid for the next resume.
-        fully = run_campaign(
-            small_spec, engine="pool", ledger_path=ledger, resume=True
-        )
+        fully = run_campaign(small_spec, cell_chunk=1, ledger_path=ledger, resume=True)
         assert fully.resumed_cells == small_spec.n_cells
         assert fully.batch.n_tasks == 0
-        assert self._tables(fully) == self._tables(vectorized_report)
+        assert self._tables(fully) == self._tables(campaign_report)
 
-    def test_pool_engine_partial_resume(self, small_spec, tmp_path):
-        """A pool-engine resume merges by grid index, not task position."""
+    def test_partial_resume_merges_by_grid_index(self, small_spec, tmp_path):
+        """A resume merges by grid index, not task position."""
         ledger = tmp_path / "run.jsonl"
 
         class Interrupt(Exception):
@@ -293,18 +272,16 @@ class TestLedgerResume:
                 raise Interrupt()
 
         with pytest.raises(Interrupt):
-            run_campaign(
-                small_spec, engine="pool", ledger_path=ledger, progress=bomb
-            )
+            run_campaign(small_spec, cell_chunk=1, ledger_path=ledger, progress=bomb)
         resumed = run_campaign(
-            small_spec, engine="pool", ledger_path=ledger, resume=True
+            small_spec, cell_chunk=1, ledger_path=ledger, resume=True
         )
         assert resumed.resumed_cells == 3
         assert resumed.complete
         assert [c.index for c in resumed.cells] == list(
             range(small_spec.n_cells)
         )
-        straight = run_campaign(small_spec, engine="pool")
+        straight = run_campaign(small_spec, cell_chunk=1)
         assert self._tables(resumed) == self._tables(straight)
         # Fresh outcomes carry grid indices and die seeds.
         fresh_indices = {o.index for o in resumed.batch.outcomes}
@@ -421,7 +398,7 @@ class TestLedgerValidation:
             CampaignLedger(written).load(other.fingerprint(paper_config))
 
     def test_record_fsyncs_each_batch(
-        self, tmp_path, fingerprint, vectorized_report, monkeypatch
+        self, tmp_path, fingerprint, campaign_report, monkeypatch
     ):
         import repro.runtime.campaign as campaign_module
 
@@ -435,23 +412,23 @@ class TestLedgerValidation:
         monkeypatch.setattr(campaign_module.os, "fsync", counting_fsync)
         ledger = CampaignLedger(tmp_path / "synced.jsonl")
         ledger.start(fingerprint)
-        ledger.record(vectorized_report.cells[:2])
-        ledger.record(vectorized_report.cells[2:4])
+        ledger.record(campaign_report.cells[:2])
+        ledger.record(campaign_report.cells[2:4])
         assert len(synced) == 3  # header + one per append batch
 
         synced.clear()
         lazy = CampaignLedger(tmp_path / "lazy.jsonl", fsync=False)
         lazy.start(fingerprint)
-        lazy.record(vectorized_report.cells[:2])
+        lazy.record(campaign_report.cells[:2])
         assert synced == []
         assert len(lazy.load(fingerprint)) == 2
 
     def test_shard_header_roundtrip(
-        self, tmp_path, fingerprint, vectorized_report
+        self, tmp_path, fingerprint, campaign_report
     ):
         ledger = CampaignLedger(tmp_path / "shard.jsonl")
         ledger.start(fingerprint, cell_range=(0, 4))
-        ledger.record(vectorized_report.cells[:4])
+        ledger.record(campaign_report.cells[:4])
         contents = ledger.read()
         assert contents.cell_range == (0, 4)
         assert sorted(contents.records) == [0, 1, 2, 3]
@@ -467,11 +444,11 @@ class TestLedgerValidation:
         assert len(ledger.load(fingerprint, cell_range=(0, 4))) == 4
 
     def test_rejects_shard_record_outside_declared_range(
-        self, tmp_path, fingerprint, vectorized_report
+        self, tmp_path, fingerprint, campaign_report
     ):
         ledger = CampaignLedger(tmp_path / "shard.jsonl")
         ledger.start(fingerprint, cell_range=(0, 4))
-        ledger.record((vectorized_report.cells[5],))
+        ledger.record((campaign_report.cells[5],))
         with pytest.raises(
             ConfigurationError, match=r"cell index 5 outside \[0, 4\)"
         ):
@@ -489,9 +466,9 @@ class TestLedgerValidation:
 
 
 class TestReport:
-    def test_report_document(self, vectorized_report, small_spec):
-        document = json.loads(vectorized_report.to_json())
-        assert document["engine"] == "vectorized"
+    def test_report_document(self, campaign_report, small_spec):
+        document = json.loads(campaign_report.to_json())
+        assert "engine" not in document
         assert document["n_cells"] == small_spec.n_cells
         assert len(document["cells"]) == small_spec.n_cells
         assert set(document["signoff"]) == {
@@ -503,16 +480,16 @@ class TestReport:
         sndr = document["signoff"]["SNDR (f_in=10MHz)"]
         assert sndr["min"] <= sndr["typ"] <= sndr["max"]
 
-    def test_render_names_worst_cell(self, vectorized_report):
-        text = vectorized_report.render()
+    def test_render_names_worst_cell(self, campaign_report):
+        text = campaign_report.render()
         assert "worst cell:" in text
         assert "Electrical characteristics" in text
 
-    def test_signoff_ranges_cover_cells(self, vectorized_report):
-        sndrs = [c.sndr_db for c in vectorized_report.cells]
+    def test_signoff_ranges_cover_cells(self, campaign_report):
+        sndrs = [c.sndr_db for c in campaign_report.cells]
         by_name = {
             line.parameter: line
-            for line in vectorized_report.signoff().lines
+            for line in campaign_report.signoff().lines
         }
         line = by_name["SNDR (f_in=10MHz)"]
         assert line.minimum == pytest.approx(min(sndrs))
@@ -526,7 +503,6 @@ class TestCampaignCli:
         args = build_campaign_parser().parse_args([])
         assert args.corners == "all"
         assert args.dies == 1
-        assert args.engine == "vectorized"
         assert not args.resume
 
     def test_cli_run_and_resume(self, capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import build_mc_parser, build_parser, main
 from repro.experiments.registry import available_experiments
 
@@ -73,13 +75,33 @@ class TestMcCli:
         assert document["n_tasks"] == 2
         assert document["yield"]["n_dies"] == 2
 
-    def test_mc_engine_flag_parses(self):
-        args = build_mc_parser().parse_args(
-            ["--engine", "vectorized", "--die-chunk", "4"]
-        )
-        assert args.engine == "vectorized"
-        assert args.die_chunk == 4
-        assert build_mc_parser().parse_args([]).engine == "pool"
+    def test_mc_die_chunk_flag_parses(self):
+        assert build_mc_parser().parse_args(["--die-chunk", "4"]).die_chunk == 4
+        assert build_mc_parser().parse_args([]).die_chunk is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["mc"],
+            ["campaign"],
+            ["campaign-dispatch", "--work-dir", "unused"],
+            ["profile", "dynamic-screen"],
+        ),
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_flag_rejected(self, argv, capsys):
+        """One execution path: --engine is gone from every subcommand."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--engine", "vectorized"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("mc", "campaign"))
+    def test_chunk_size_flag_rejected(self, command, capsys):
+        """--die-chunk / --cell-chunk is the one batching knob."""
+        with pytest.raises(SystemExit):
+            main([command, "--chunk-size", "2"])
+        assert "--chunk-size" in capsys.readouterr().err
 
     def test_mc_calibrate_flag_parses(self):
         args = build_mc_parser().parse_args(["--calibrate", "--cal-samples", "6"])
@@ -99,8 +121,6 @@ class TestMcCli:
                 "2",
                 "--fft-points",
                 "512",
-                "--engine",
-                "vectorized",
                 "--calibrate",
                 "--cal-samples",
                 "4",
@@ -115,32 +135,3 @@ class TestMcCli:
 
         document = json.loads(out_path.read_text())
         assert document["calibrated"] is True
-
-    def test_mc_vectorized_engine_matches_pool(self, capsys):
-        """ISSUE acceptance: the engines render the same yield table."""
-
-        def run(engine):
-            code = main(
-                [
-                    "mc",
-                    "--dies",
-                    "2",
-                    "--fft-points",
-                    "1024",
-                    "--engine",
-                    engine,
-                ]
-            )
-            assert code == 0
-            return capsys.readouterr().out
-
-        pool_table = run("pool")
-        vectorized_table = run("vectorized")
-        # Same per-die rows and verdicts; only the batch footer
-        # (engine name, wall time) differs.
-        table = lambda text: [  # noqa: E731
-            line
-            for line in text.splitlines()
-            if line.strip() and not line.startswith("batch:")
-        ]
-        assert table(pool_table) == table(vectorized_table)

@@ -50,7 +50,7 @@ def small_spec():
 
 @pytest.fixture(scope="module")
 def single_report(small_spec):
-    return run_campaign(small_spec, engine="vectorized")
+    return run_campaign(small_spec)
 
 
 class TestCoalesce:

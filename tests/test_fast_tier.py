@@ -3,9 +3,9 @@
 The contract: the fast tier is never bit-exact (it folds the per-stage
 sampling and opamp draws into one output-referred draw, so it consumes
 different stream values), but every population-level metric must agree
-with the exact engines within documented statistical tolerances.  The
-tier is vectorized-only, deterministic for a given seed, and part of a
-campaign's fingerprint so fast ledgers never resume exact campaigns.
+with the exact tier within documented statistical tolerances.  The
+tier is deterministic for a given seed and part of a campaign's
+fingerprint so fast ledgers never resume exact campaigns.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.adc_array import PRECISION_TIERS, AdcArray
 from repro.errors import ConfigurationError
-from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.campaign import CampaignSpec
 from repro.runtime.montecarlo import default_sampler, run_yield_analysis
 
 #: Tolerances of the statistical-equivalence gate, mirroring
@@ -45,26 +45,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_yield_analysis(n_dies=2, n_fft=256, precision="float16")
 
-    def test_fast_requires_vectorized_engine(self):
-        with pytest.raises(ConfigurationError):
-            run_yield_analysis(
-                n_dies=2, n_fft=256, engine="pool", precision="fast"
-            )
-
     def test_campaign_spec_rejects_unknown_tier(self):
         with pytest.raises(ConfigurationError):
             CampaignSpec(n_dies=1, precision="float16")
 
-    def test_campaign_fast_requires_vectorized_engine(self):
-        spec = CampaignSpec(
-            n_dies=1,
-            corners=("TT",),
-            temperatures_c=(27.0,),
-            n_samples=256,
-            precision="fast",
-        )
-        with pytest.raises(ConfigurationError):
-            run_campaign(spec, engine="pool", workers=1)
 
 
 class TestFingerprint:
@@ -149,7 +133,6 @@ class TestStatisticalEquivalence:
             seed=17,
             n_fft=1024,
             ramp_points_per_code=16,
-            engine="vectorized",
         )
         return (
             run_yield_analysis(**kwargs),

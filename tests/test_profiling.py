@@ -29,7 +29,7 @@ from repro.profiling import (
     record,
 )
 from repro.runtime.profiling import (
-    ENGINES,
+    ENGINE,
     PROFILE_REPORT_SCHEMA,
     WORKLOADS,
     profile_workload,
@@ -162,27 +162,26 @@ class TestProfileWorkload:
         report = profile_workload("dynamic-screen", dies=2, fft_points=256)
         assert report.workload == "dynamic-screen"
         assert report.n_items == 2
-        assert tuple(p.engine for p in report.engines) == ENGINES
-        for profile in report.engines:
-            assert profile.wall_s > 0
-            # The engine stages show up under both engines, and the
-            # partition never exceeds the run it partitions.
-            assert profile.stat("mdac", "settle") is not None
-            assert 0 < profile.attributed_fraction() <= 1.0 + 1e-9
+        profile = report.profile
+        assert profile.wall_s > 0
+        # The engine stages show up, and the partition never exceeds
+        # the run it partitions.
+        assert profile.stat("mdac", "settle") is not None
+        assert 0 < profile.attributed_fraction() <= 1.0 + 1e-9
         rendered = report.render()
         assert "mdac" in rendered and "noise-draw" in rendered
         assert "attributed to named stages" in rendered
 
     def test_report_json_document_stable(self):
-        report = profile_workload(
-            "dynamic-screen", dies=1, fft_points=256, engines=("serial",)
-        )
+        report = profile_workload("dynamic-screen", dies=1, fft_points=256)
         document = json.loads(report.to_json())
         assert document["schema"] == PROFILE_REPORT_SCHEMA
         assert document["workload"] in WORKLOADS
         assert document["n_items"] == 1
         assert document["fft_points"] == 256
+        # The document keeps its ``engines`` list, now with one entry.
         (engine,) = document["engines"]
+        assert engine["engine"] == ENGINE
         assert engine.keys() == {
             "engine",
             "wall_s",
@@ -201,8 +200,6 @@ class TestProfileWorkload:
         with pytest.raises(ConfigurationError):
             profile_workload("nope")
         with pytest.raises(ConfigurationError):
-            profile_workload("dynamic-screen", engines=("gpu",))
-        with pytest.raises(ConfigurationError):
             profile_workload("dynamic-screen", dies=0)
 
 
@@ -219,8 +216,6 @@ class TestProfileCli:
                 "1",
                 "--fft-points",
                 "256",
-                "--engine",
-                "serial",
                 "--json",
                 str(out),
             ]
@@ -245,8 +240,6 @@ class TestProfileCli:
                 "1",
                 "--fft-points",
                 "256",
-                "--engine",
-                "serial",
                 "--json",
                 str(tmp_path / "missing-dir" / "p.json"),
             ]

@@ -20,10 +20,10 @@ from repro.runtime.batch import (
     json_safe,
 )
 from repro.runtime.montecarlo import (
-    DieTask,
+    DieChunkTask,
     YieldSpec,
     default_sampler,
-    measure_die,
+    measure_die_chunk,
     run_yield_analysis,
 )
 from repro.runtime.seeding import derive_seeds, spawn_sequences
@@ -244,7 +244,9 @@ class TestMonteCarloRuntime:
             abs(legacy_linearity.dnl_min), abs(legacy_linearity.dnl_max)
         )
 
-        metrics = measure_die(DieTask(sample=die, config=paper_config))
+        (metrics,) = measure_die_chunk(
+            DieChunkTask(samples=(die,), config=paper_config)
+        )
         assert metrics.enob_bits == legacy_spectrum.enob_bits
         assert metrics.sndr_db == legacy_spectrum.sndr_db
         assert metrics.dnl_peak_lsb == legacy_dnl
@@ -259,7 +261,7 @@ class TestMonteCarloRuntime:
             n_fft=1024,
         )
         serial = run_yield_analysis(workers=1, **kwargs)
-        pooled = run_yield_analysis(workers=2, chunk_size=1, **kwargs)
+        pooled = run_yield_analysis(workers=2, die_chunk=1, **kwargs)
         assert serial.dies == pooled.dies
         assert serial.yield_fraction == pooled.yield_fraction
 
