@@ -15,10 +15,11 @@ die-batched chunk path, through every execution configuration:
   5-corner x 3-temperature x N-die grid of corner-batched
   ``(cells, samples)`` AdcArray passes.
 - ``sharded-campaign`` — the scale-out path: the grid splits into two
-  shards (``CampaignSpec.shard``), each runs against its own ledger,
-  and ``merge_campaign_ledgers`` reassembles the campaign-wide report.
-  Measures the shard + merge overhead on top of the plain campaign and
-  asserts the merged metrics stay consistent with serial.
+  shards (``CampaignSpec.shard``) that write into one shared cell
+  store, and a whole-grid campaign over the store reads the report
+  back as a store projection (every cell served, none recomputed).
+  Measures the shard + store overhead on top of the plain campaign and
+  asserts the projected metrics stay consistent with serial.
 
 Configurations per workload:
 
@@ -262,18 +263,15 @@ def _run_campaign_config(campaign_dies, n_fft, seed, workers, precision="exact")
 def _run_sharded_campaign_config(
     campaign_dies, n_fft, seed, workers, precision="exact"
 ):
-    """Two shards to their own ledgers, then the ledger merge."""
+    """Two shards into one cell store, then the store projection."""
     import tempfile
 
-    from repro.runtime.campaign import CampaignSpec
-    from repro.runtime.shards import (
-        merge_campaign_ledgers,
-        run_campaign_shard,
-    )
+    from repro.runtime.campaign import CampaignSpec, run_campaign
+    from repro.runtime.shards import run_campaign_shard
     from repro.technology.corners import Corner
 
     # A trimmed grid (3 corners, half the dies) bounds the cost: the
-    # workload measures shard + merge overhead, not raw conversion.
+    # workload measures shard + store overhead, not raw conversion.
     spec = CampaignSpec(
         corners=(Corner.TT, Corner.FF, Corner.SS),
         n_dies=max(1, campaign_dies // 2),
@@ -282,16 +280,15 @@ def _run_sharded_campaign_config(
         precision=precision,
     )
     with tempfile.TemporaryDirectory() as tmpdir:
-        ledgers = []
+        store = Path(tmpdir) / "cells"
         for shard in spec.shards(2):
-            ledger = Path(tmpdir) / f"shard-{shard.index}.jsonl"
-            report = run_campaign_shard(shard, workers=workers, ledger_path=ledger)
+            report = run_campaign_shard(shard, workers=workers, cell_store=store)
             report.batch.raise_first_failure()
-            ledgers.append(ledger)
-        merged = merge_campaign_ledgers(ledgers)
-    if not merged.complete:
+        merged = run_campaign(spec, cell_store=store)
+    if merged.cached_cells != merged.n_cells:
         raise RuntimeError(
-            f"merged report incomplete: {merged.missing_cell_indices()}"
+            f"store projection recomputed "
+            f"{merged.n_cells - merged.cached_cells} of {merged.n_cells} cells"
         )
     return sorted(
         (c.index, c.snr_db, c.sndr_db, c.sfdr_db, c.enob_bits)

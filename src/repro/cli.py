@@ -10,9 +10,10 @@ Usage::
     repro mc --dies 32 --die-chunk 4 --calibrate
     repro campaign --dies 16 --ledger signoff.jsonl
     repro campaign --dies 16 --ledger signoff.jsonl --resume
-    repro campaign --dies 16 --shard 0/2 --ledger shard-0.jsonl
+    repro campaign --dies 16 --shard 0/2 --cell-store cells/
+    repro campaign --dies 16 --shard 1/2 --cell-store cells/
+    repro campaign --dies 16 --cell-store cells/ --json signoff.json
     repro campaign --dies 16 --cell-range 3:9 --ledger gap.jsonl
-    repro campaign-merge shard-0.jsonl shard-1.jsonl --json merged.json
     repro campaign-dispatch --dies 16 --shards 4 --work-dir dispatch/
     repro cell-store stats cells/
     repro cell-store verify cells/ --fix
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Monte Carlo yield analysis and PVT sign-off campaigns run "
             "as separate subcommands: see 'repro mc --help', "
-            "'repro campaign --help', 'repro campaign-merge --help', "
+            "'repro campaign --help', "
             "'repro campaign-dispatch --help' and "
             "'repro cell-store --help'."
         ),
@@ -432,8 +433,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         metavar="I/N",
         help=(
             "run only shard I of N (disjoint contiguous cell ranges "
-            "with identical per-cell seeds); merge the shard ledgers "
-            "afterwards with 'repro campaign-merge'"
+            "with identical per-cell seeds); shards sharing one "
+            "--cell-store need no merge: a whole-grid run over the "
+            "store afterwards recomputes nothing they completed"
         ),
     )
     parser.add_argument(
@@ -462,8 +464,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--no-fsync",
         action="store_true",
         help=(
-            "skip fsync on ledger appends (faster; a power loss may "
-            "drop flushed batches)"
+            "skip fsync on ledger appends and cell-store writes "
+            "(faster; a power loss may drop flushed batches and "
+            "store entries)"
         ),
     )
     parser.add_argument(
@@ -477,45 +480,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="print per-task progress to stderr",
-    )
-    return parser
-
-
-def build_campaign_merge_parser() -> argparse.ArgumentParser:
-    """The ``repro campaign-merge`` (shard merge) argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro campaign-merge",
-        description=(
-            "Merge the ledgers of sharded campaign runs into one "
-            "campaign-wide sign-off report.  All ledgers must share "
-            "one campaign fingerprint; overlapping cells must hold "
-            "identical records; gaps leave the report incomplete and "
-            "are listed as missing cell indices (exit code 1)."
-        ),
-    )
-    parser.add_argument(
-        "ledgers",
-        nargs="+",
-        type=Path,
-        metavar="LEDGER",
-        help="shard ledger files to merge (any order)",
-    )
-    parser.add_argument(
-        "--out-ledger",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "also write the merged cells as a whole-grid ledger "
-            "(resumable by the unsharded campaign)"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the merged campaign report document to PATH",
     )
     return parser
 
@@ -693,7 +657,7 @@ def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
         progress=_stderr_progress if args.progress else None,
         cell_range=cell_range,
         cell_store=args.cell_store,
-        ledger_fsync=not args.no_fsync,
+        fsync=not args.no_fsync,
     )
     print(report.render())
     if args.json is not None:
@@ -726,38 +690,20 @@ def _parse_cell_range(text: str) -> tuple[int, int]:
         ) from None
 
 
-def run_campaign_merge_cli(argv: Sequence[str] | None = None) -> int:
-    """Run the ``campaign-merge`` subcommand; returns an exit code."""
-    from repro.runtime.shards import merge_campaign_ledgers
-
-    args = build_campaign_merge_parser().parse_args(argv)
-    report = merge_campaign_ledgers(args.ledgers, out_ledger=args.out_ledger)
-    print(report.render())
-    if args.json is not None:
-        try:
-            args.json.write_text(report.to_json())
-        except OSError as error:
-            print(f"error: cannot write {args.json}: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json}")
-    if args.out_ledger is not None:
-        print(f"wrote {args.out_ledger}")
-    return 0 if report.complete else 1
-
-
 def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
     """The ``repro campaign-dispatch`` (gap-driven dispatcher) parser."""
     parser = argparse.ArgumentParser(
         prog="repro campaign-dispatch",
         description=(
             "Run a sharded PVT campaign to completion: plan N shards, "
-            "launch each as a 'repro campaign' subprocess against its "
-            "own ledger, then merge the ledgers, coalesce any missing "
-            "cells into contiguous ranges and re-dispatch only those "
-            "ranges — with exponential deterministic-jitter backoff — "
-            "until the merged grid is complete or the per-cell retry "
-            "budget is exhausted.  Resumable: existing ledgers in the "
-            "work directory are merged before any work launches."
+            "launch each as a 'repro campaign' subprocess writing into "
+            "one shared cell store, then look every grid cell up in "
+            "the store, coalesce the missing cells into contiguous "
+            "ranges and re-dispatch only those ranges — with "
+            "exponential deterministic-jitter backoff — until the "
+            "store holds the whole grid or the per-cell retry budget "
+            "is exhausted.  Resumable: cells already in the store are "
+            "never launched."
         ),
     )
     _add_spec_arguments(parser)
@@ -822,8 +768,8 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="DIR",
         help=(
-            "directory holding the per-range shard ledgers (the unit "
-            "of dispatcher resume; one campaign per directory)"
+            "dispatch working directory; the cell store defaults to "
+            "DIR/cells"
         ),
     )
     parser.add_argument(
@@ -840,7 +786,8 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "cells per batch task inside each shard; 1 makes "
-            "the shard ledgers checkpoint per cell (default: auto)"
+            "the shards checkpoint to the store per cell "
+            "(default: auto)"
         ),
     )
     parser.add_argument(
@@ -850,13 +797,18 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "content-addressed cell-result store shared by all shard "
-            "subprocesses"
+            "subprocesses: the dispatch record and the unit of "
+            "resume; may be shared with other campaigns "
+            "(default: WORK_DIR/cells)"
         ),
     )
     parser.add_argument(
         "--no-fsync",
         action="store_true",
-        help="skip fsync on shard-ledger appends (faster, weaker durability)",
+        help=(
+            "skip fsync on the shards' cell-store writes and the "
+            "--out-ledger (faster, weaker durability)"
+        ),
     )
     parser.add_argument(
         "--out-ledger",
@@ -864,7 +816,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "also write the merged cells as a whole-grid ledger "
+            "also export the grid's cells as a whole-grid ledger "
             "(resumable by the unsharded campaign)"
         ),
     )
@@ -894,7 +846,7 @@ def run_campaign_dispatch_cli(argv: Sequence[str] | None = None) -> int:
     dispatcher = CampaignDispatcher(
         spec,
         shards=args.shards,
-        work_dir=args.work_dir,
+        cell_store=args.cell_store or args.work_dir / "cells",
         max_retries=args.max_retries,
         timeout_s=args.timeout,
         backoff_base_s=args.backoff,
@@ -902,7 +854,6 @@ def run_campaign_dispatch_cli(argv: Sequence[str] | None = None) -> int:
         poll_interval_s=args.poll,
         workers=args.workers,
         cell_chunk=args.cell_chunk,
-        cell_store=args.cell_store,
         fsync=not args.no_fsync,
         out_ledger=args.out_ledger,
         fault_kill=parse_fault_kill(os.environ.get(FAULT_KILL_ENV)),
@@ -1132,8 +1083,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return run_mc(arguments[1:])
         if arguments and arguments[0] == "campaign":
             return run_campaign_cli(arguments[1:])
-        if arguments and arguments[0] == "campaign-merge":
-            return run_campaign_merge_cli(arguments[1:])
         if arguments and arguments[0] == "campaign-dispatch":
             return run_campaign_dispatch_cli(arguments[1:])
         if arguments and arguments[0] == "cell-store":

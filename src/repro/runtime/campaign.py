@@ -219,9 +219,9 @@ class CampaignSpec:
         The grid splits into ``count`` contiguous, disjoint, covering
         cell ranges (balanced to within one cell, earlier shards take
         the extras).  Every shard shares the parent spec — and with it
-        the per-cell seeds — so running all shards and merging their
-        ledgers (:func:`repro.runtime.shards.merge_campaign_ledgers`)
-        reproduces the single-process campaign bit for bit.
+        the per-cell seeds — so running all shards into one cell store
+        and projecting the grid over it reproduces the single-process
+        campaign bit for bit.
         """
         from repro.runtime.shards import CampaignShard
 
@@ -464,7 +464,7 @@ class CampaignLedger:
     Loading validates every record: cell indices outside the campaign's
     range and duplicate indices raise
     :class:`~repro.errors.ConfigurationError` with the offending line
-    number instead of silently corrupting the merged report.
+    number instead of silently corrupting the resumed report.
     """
 
     def __init__(self, path: str | Path, fsync: bool = True):
@@ -507,9 +507,8 @@ class CampaignLedger:
     def read(self) -> LedgerContents:
         """Parse and validate the ledger without a fingerprint to match.
 
-        The merge path uses this directly (each shard carries its own
-        copy of the parent fingerprint); :meth:`load` adds the
-        fingerprint and shard-range checks a resume needs.
+        :meth:`load` builds on it, adding the fingerprint and
+        shard-range checks a resume needs.
 
         Raises:
             ConfigurationError: empty file, unreadable header, foreign
@@ -679,10 +678,9 @@ class CampaignReport:
     ) -> "CampaignReport":
         """A report assembled from already-measured cells.
 
-        The shared exit of every path that reunites cells measured
-        elsewhere — ledger merging (:func:`repro.runtime.shards.
-        merge_campaign_ledgers`) and the gap-driven dispatcher
-        (:class:`repro.runtime.dispatcher.CampaignDispatcher`).  The
+        The exit of the gap-driven dispatcher
+        (:class:`repro.runtime.dispatcher.CampaignDispatcher`), which
+        reunites cells its shards measured into the shared store.  The
         batch is empty (nothing ran here) and every cell counts as
         resumed; completeness is judged against the whole grid.
         """
@@ -904,7 +902,7 @@ def run_campaign(
     mp_context: str | None = None,
     cell_range: tuple[int, int] | None = None,
     cell_store: "CellStore | str | Path | None" = None,
-    ledger_fsync: bool = True,
+    fsync: bool = True,
 ) -> CampaignReport:
     """Run (or resume) a PVT sign-off campaign.
 
@@ -937,8 +935,8 @@ def run_campaign(
             fingerprint, PVT point, die seed, bench settings — already
             has an entry are served from the store with zero
             recomputation; fresh results are written back.
-        ledger_fsync: fsync ledger appends (default); ``False`` trades
-            the power-loss guarantee for speed.
+        fsync: fsync ledger appends and cell-store writes (default);
+            ``False`` trades the power-loss guarantee for speed.
 
     Returns:
         The :class:`CampaignReport`; crashed cells land in
@@ -967,7 +965,7 @@ def run_campaign(
     ledger: CampaignLedger | None = None
     completed: dict[int, CellMetrics] = {}
     if ledger_path is not None:
-        ledger = CampaignLedger(ledger_path, fsync=ledger_fsync)
+        ledger = CampaignLedger(ledger_path, fsync=fsync)
         if resume and ledger.exists():
             completed = ledger.load(fingerprint, cell_range)
         else:
@@ -981,7 +979,7 @@ def run_campaign(
             cell_store
             if isinstance(cell_store, CellStore)
             else CellStore(cell_store)
-        ).bind(spec, config)
+        ).bind(spec, config, fsync=fsync)
         # Ledger-resumed cells back-fill the store so later campaigns
         # sharing those cells hit it even without this ledger.
         for cell in cells:

@@ -18,9 +18,17 @@ index in a different grid is still the same physics — so ``get``
 rebuilds the record under the requesting campaign's indices.
 
 Entries are one JSON file each under ``root/<key[:2]>/<key>.json``,
-written atomically (temp file + ``os.replace``), and any unreadable,
-mismatched or foreign-schema entry is treated as a miss — the cell
-simply re-runs and the entry is rewritten.
+written atomically (temp file + ``os.replace``) and, unless the
+campaign opts out of fsync, durably: the temp file is fsynced before
+the replace and the prefix directory after it, so an entry that is
+visible survives a power loss.  Any unreadable, mismatched or
+foreign-schema entry is treated as a miss — the cell simply re-runs
+and the entry is rewritten.
+
+The store is also the record of a sharded campaign: shards and the
+gap-driven dispatcher (:mod:`repro.runtime.dispatcher`) all write into
+one store, and a campaign report is the projection of its spec over
+the store — the cells present by key, with the missing keys as gaps.
 
 Long-lived stores accumulate — every campaign iteration, every retired
 converter configuration leaves its cells behind — so the store also
@@ -223,12 +231,16 @@ class CellStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
 
-    def bind(self, spec: CampaignSpec, config: AdcConfig) -> BoundCellStore:
+    def bind(
+        self, spec: CampaignSpec, config: AdcConfig, fsync: bool = True
+    ) -> BoundCellStore:
         """The store scoped to one campaign's config and bench settings.
 
         Binding precomputes the key payload shared by every cell of the
         campaign from the same fingerprint the ledger uses, so per-cell
-        lookups hash only the cell-varying part on top.
+        lookups hash only the cell-varying part on top.  ``fsync``
+        makes every :meth:`BoundCellStore.put` durable (the default);
+        ``False`` stops at the OS page cache.
         """
         fingerprint = spec.fingerprint(config)
         base = {
@@ -237,7 +249,7 @@ class CellStore:
                 field: fingerprint["spec"][field] for field in _BENCH_FIELDS
             },
         }
-        return BoundCellStore(root=self.root, base=base)
+        return BoundCellStore(root=self.root, base=base, fsync=fsync)
 
     def entry_paths(self) -> list[Path]:
         """Entry files currently in the store, sorted for stable sweeps.
@@ -454,9 +466,10 @@ class CellStore:
 class BoundCellStore:
     """One campaign's view of the store: get/put by :class:`CampaignCell`."""
 
-    def __init__(self, root: Path, base: dict):
+    def __init__(self, root: Path, base: dict, fsync: bool = True):
         self.root = root
         self.base = base
+        self.fsync = fsync
         #: Digest of the campaign base (config + bench) alone — written
         #: into every entry so the hygiene sweeps can group and prune
         #: one campaign's cells without recomputing any per-cell key.
@@ -479,15 +492,16 @@ class BoundCellStore:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, cell: CampaignCell) -> CellMetrics | None:
-        """The stored metrics for this cell's physics identity, or None.
+    def entry_path(self, cell: CampaignCell) -> Path:
+        """Where this cell's entry lives (whether or not it exists yet).
 
-        A hit rebuilds the record under the *requesting* campaign's
-        grid index and die position; any unreadable or mismatched entry
-        is a miss (the cell re-runs and overwrites it).
+        For pollers that only need presence: a stat of this path costs
+        no read and leaves the hit/miss counters alone.
         """
-        key = self._key(cell)
-        path = self._path(key)
+        return self._path(self._key(cell))
+
+    def _read(self, path: Path, key: str) -> dict[str, float] | None:
+        """The metrics of a valid entry for ``key`` at ``path``, or None."""
         try:
             entry = json.loads(path.read_text())
             if entry.get("schema") != CELL_STORE_SCHEMA:
@@ -495,31 +509,43 @@ class BoundCellStore:
             if entry.get("key") != key:
                 raise ValueError("key mismatch")
             metrics = entry["metrics"]
-            result = CellMetrics(
-                index=cell.index,
-                corner=cell.corner.value,
-                temperature_c=cell.temperature_c,
-                die_index=cell.die_index,
-                seed=cell.die_seed,
-                snr_db=float(metrics["snr_db"]),
-                sndr_db=float(metrics["sndr_db"]),
-                sfdr_db=float(metrics["sfdr_db"]),
-                enob_bits=float(metrics["enob_bits"]),
-            )
-        except (OSError, ValueError, KeyError, TypeError):
+            return {field: float(metrics[field]) for field in _METRIC_FIELDS}
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+
+    def get(self, cell: CampaignCell) -> CellMetrics | None:
+        """The stored metrics for this cell's physics identity, or None.
+
+        A hit rebuilds the record under the *requesting* campaign's
+        grid index and die position; any unreadable or mismatched entry
+        is a miss (the cell re-runs and :meth:`put` rewrites it).
+        """
+        key = self._key(cell)
+        metrics = self._read(self._path(key), key)
+        recorder = active()
+        if metrics is None:
             self.misses += 1
-            recorder = active()
             if recorder is not None:
                 recorder.add("campaign", "cell-store-miss", 0.0)
             return None
         self.hits += 1
-        recorder = active()
         if recorder is not None:
             recorder.add("campaign", "cell-store-hit", 0.0)
-        return result
+        return CellMetrics(
+            index=cell.index,
+            corner=cell.corner.value,
+            temperature_c=cell.temperature_c,
+            die_index=cell.die_index,
+            seed=cell.die_seed,
+            **metrics,
+        )
 
     def put(self, cell: CampaignCell, metrics: CellMetrics) -> None:
         """Store one completed cell (idempotent; atomic per entry).
+
+        A valid entry already at the key is kept; a damaged one is
+        overwritten.  With ``fsync`` the temp file is fsynced before
+        the atomic replace and the prefix directory after it.
 
         Best-effort against concurrent hygiene: a prune that removes
         the prefix directory between our mkdir and the write is retried
@@ -528,7 +554,7 @@ class BoundCellStore:
         """
         key = self._key(cell)
         path = self._path(key)
-        if path.exists():
+        if self._read(path, key) is not None:
             return
         entry = {
             "schema": CELL_STORE_SCHEMA,
@@ -541,10 +567,7 @@ class BoundCellStore:
                 "die_seed": int(cell.die_seed),
             },
             "metrics": {
-                "snr_db": metrics.snr_db,
-                "sndr_db": metrics.sndr_db,
-                "sfdr_db": metrics.sfdr_db,
-                "enob_bits": metrics.enob_bits,
+                field: getattr(metrics, field) for field in _METRIC_FIELDS
             },
         }
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -552,8 +575,18 @@ class BoundCellStore:
         for attempt in range(2):
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(payload)
+                with open(tmp, "w") as handle:
+                    handle.write(payload)
+                    if self.fsync:
+                        handle.flush()
+                        os.fsync(handle.fileno())
                 os.replace(tmp, path)
+                if self.fsync:
+                    directory = os.open(path.parent, os.O_RDONLY)
+                    try:
+                        os.fsync(directory)
+                    finally:
+                        os.close(directory)
             except FileNotFoundError:
                 # A concurrent prune rmdir'ed the prefix directory
                 # between mkdir and write/replace; retry once.

@@ -1,30 +1,32 @@
 """Gap-driven dispatch loop: sharded campaigns that finish themselves.
 
-PR 8's shard layer left one loop open: a shard killed mid-run leaves
-its ledger partial, ``repro campaign-merge`` reports the gap — and a
-human re-runs the missing ranges by hand.  This module is the closing
-brick.  :class:`CampaignDispatcher` plans shards from a
-:class:`~repro.runtime.campaign.CampaignSpec`, launches each as a real
-``repro campaign --cell-range`` subprocess against its own per-shard
-ledger, then loops: merge every ledger in the work directory, read the
-missing cell indices, coalesce them into contiguous ranges
+A shard killed mid-run leaves a gap in the grid, and someone has to
+re-run the missing cells.  :class:`CampaignDispatcher` is that someone.
+It plans shards from a :class:`~repro.runtime.campaign.CampaignSpec`,
+launches each as a real ``repro campaign --cell-range --cell-store``
+subprocess writing into one shared content-addressed cell store, then
+loops: project the spec over the store, read the missing cell indices,
+coalesce them into contiguous ranges
 (:func:`repro.runtime.shards.coalesce_cell_ranges`) and re-dispatch
-*only those ranges* — until the merge is complete or the retry budget
-is exhausted.
+*only those ranges* — until the projection is complete or the retry
+budget is exhausted.
 
 Design rules, in order:
 
-1. **The merge is the source of truth.**  The dispatcher never trusts
+1. **The store is the source of truth.**  The dispatcher never trusts
    a subprocess's exit code to decide what work remains — a shard that
    died after completing 5 of 6 cells contributed 5 cells, and only
-   the ledger knows.  Every round re-reads every ledger; the retry
-   unit is a gap range, not a shard.
-2. **Resumable at the dispatcher level.**  Existing ledgers in the
-   work directory are merged *before* any work is launched, so a
-   crashed dispatcher recovers the same way a crashed shard does:
-   re-run the same command, only the gaps execute.  Re-dispatched
-   ranges reuse their ledger path with ``--resume``, so even a
-   partially-complete retry keeps its cells.
+   the store knows.  Every round looks up every grid cell by key; the
+   retry unit is a gap range, not a shard.  A corrupt entry is a gap
+   like a missing one: its range is re-dispatched and the shard
+   rewrites the entry.
+2. **Resumable at the dispatcher level.**  The store is projected
+   *before* any work is launched, so a crashed dispatcher recovers the
+   same way a crashed shard does: re-run the same command, only the
+   gaps execute.  A re-dispatched range needs no resume flag — the
+   cells it already stored are served from the store.  Campaigns that
+   share a store share the cells they have in common and nothing else:
+   the store key separates them.
 3. **Deterministic decisions.**  Retry order, range planning and the
    backoff jitter derive from the campaign fingerprint and the round
    index alone — no wall clock and no ``random`` in any decision path
@@ -39,8 +41,9 @@ Design rules, in order:
 Fault injection for tests and the CI gate: ``REPRO_FAULT_KILL_SHARD``
 (``"<range-position>"`` or ``"<range-position>:<after-cells>"``) makes
 the CLI ask the dispatcher to SIGKILL the given first-round shard once
-its ledger holds the given number of cell records — a deterministic
-stand-in for the preempted worker the loop exists to survive.
+the store holds the given number of its range's cells — a
+deterministic stand-in for the preempted worker the loop exists to
+survive.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from repro.runtime.campaign import (
     CampaignSpec,
     CellMetrics,
 )
+from repro.runtime.cell_store import CellStore
 from repro.runtime.shards import coalesce_cell_ranges
 from repro.schemas import DISPATCH_REPORT_SCHEMA
 
@@ -119,7 +123,6 @@ class DispatchAttempt:
         round: dispatch round (0 = the initial wave).
         attempt: highest per-cell dispatch count this launch represents
             (1-based; budgeted against ``1 + max_retries``).
-        ledger: the shard ledger the subprocess wrote.
         exit_code: the subprocess return code (negative = killed by
             that signal, e.g. -9 after a timeout or injected fault).
         timed_out: True when the dispatcher killed the shard for
@@ -132,7 +135,6 @@ class DispatchAttempt:
     stop: int
     round: int
     attempt: int
-    ledger: str
     exit_code: int | None
     timed_out: bool
     fault_injected: bool
@@ -144,7 +146,7 @@ class DispatchAttempt:
 
 @dataclass(frozen=True)
 class DispatchReport:
-    """The full history of one dispatch run, plus the merged campaign.
+    """The full history of one dispatch run, plus the projected campaign.
 
     Attributes:
         spec: the campaign grid and bench settings.
@@ -155,14 +157,12 @@ class DispatchReport:
         rounds: dispatch rounds actually run.
         attempts: every launched subprocess, in launch order.
         backoffs_s: the delay slept before each retry round.
-        resumed_cells: cells already present in the work directory
-            before any subprocess was launched (dispatcher resume).
-        unreadable_ledgers: work-dir ledgers skipped as unreadable
-            (deleted and re-run rather than merged).
-        complete: the merged grid has no missing cells.
+        resumed_cells: cells already in the store before any
+            subprocess was launched (dispatcher resume).
+        complete: the projected grid has no missing cells.
         exhausted: the retry budget ran out with cells still missing.
-        missing_cells: grid indices still absent from the merge.
-        report: the merged :class:`CampaignReport` (the sign-off
+        missing_cells: grid indices still absent from the store.
+        report: the projected :class:`CampaignReport` (the sign-off
             document; bit-identical to a single-process run when
             complete).
         elapsed_s: dispatcher wall time end to end.
@@ -176,7 +176,6 @@ class DispatchReport:
     attempts: tuple[DispatchAttempt, ...]
     backoffs_s: tuple[float, ...]
     resumed_cells: int
-    unreadable_ledgers: tuple[str, ...]
     complete: bool
     exhausted: bool
     missing_cells: tuple[int, ...]
@@ -207,7 +206,6 @@ class DispatchReport:
             ],
             "backoffs_s": list(self.backoffs_s),
             "resumed_cells": self.resumed_cells,
-            "unreadable_ledgers": list(self.unreadable_ledgers),
             "complete": self.complete,
             "exhausted": self.exhausted,
             "missing_cells": list(self.missing_cells),
@@ -248,7 +246,7 @@ class DispatchReport:
         else:
             status = f"INCOMPLETE ({len(self.missing_cells)} missing)"
         resumed = (
-            f" {self.resumed_cells} cell(s) resumed from work dir,"
+            f" {self.resumed_cells} cell(s) resumed from the store,"
             if self.resumed_cells
             else ""
         )
@@ -267,7 +265,6 @@ class _Launched:
     start: int
     stop: int
     attempt: int
-    ledger: Path
     process: subprocess.Popen
     started_monotonic: float
     deadline_monotonic: float | None
@@ -286,8 +283,9 @@ class CampaignDispatcher:
             i.e. the default config — the subprocesses rebuild it.
         shards: first-wave shard count and per-wave concurrency cap
             (clamped to the grid size).
-        work_dir: directory holding the per-shard ledgers; the unit of
-            dispatcher resume.  Must not mix campaigns.
+        cell_store: root of the content-addressed cell store every
+            shard writes into — the dispatch record and the unit of
+            dispatcher resume.  May be shared with other campaigns.
         max_retries: re-dispatches allowed per cell beyond its first
             launch before the budget is exhausted.
         timeout_s: kill a shard subprocess exceeding this wall time;
@@ -299,18 +297,17 @@ class CampaignDispatcher:
         poll_interval_s: subprocess poll cadence.
         workers: worker processes per shard subprocess.
         cell_chunk: cells per batch task inside each shard
-            (``1`` makes the ledger checkpoint per cell — what the
+            (``1`` makes the store checkpoint per cell — what the
             fault-injection tests and CI gate use).
-        cell_store: content-addressed cell store shared by all shards.
-        fsync: per-shard ledger fsync policy (also used for
+        fsync: the shards' cell-store fsync policy (also used for
             ``out_ledger``).
-        out_ledger: when given, write the merged cells as a whole-grid
-            ledger there after the loop ends.
+        out_ledger: when given, export the projected cells as a
+            whole-grid ledger there after the loop ends.
         fault_kill: ``(range_position, after_cells)`` — SIGKILL the
-            first-round shard at that launch position once its ledger
-            holds ``after_cells`` cell records (and, so the fault
-            always leaves a gap to recover, before it holds its whole
-            range).  Test/CI hook; the CLI fills it from
+            first-round shard at that launch position once the store
+            holds ``after_cells`` of its range's cells (and, so the
+            fault always leaves a gap to recover, before it holds the
+            whole range).  Test/CI hook; the CLI fills it from
             ``REPRO_FAULT_KILL_SHARD``.
     """
 
@@ -320,7 +317,7 @@ class CampaignDispatcher:
         config: AdcConfig | None = None,
         *,
         shards: int,
-        work_dir: str | Path,
+        cell_store: str | Path,
         max_retries: int = 2,
         timeout_s: float | None = None,
         backoff_base_s: float = 0.0,
@@ -328,7 +325,6 @@ class CampaignDispatcher:
         poll_interval_s: float = 0.05,
         workers: int = 1,
         cell_chunk: int | None = None,
-        cell_store: str | Path | None = None,
         fsync: bool = True,
         out_ledger: str | Path | None = None,
         fault_kill: tuple[int, int] | None = None,
@@ -348,7 +344,7 @@ class CampaignDispatcher:
         self.spec = spec
         self.config = config or AdcConfig.paper_default()
         self.shards = min(shards, spec.n_cells)
-        self.work_dir = Path(work_dir)
+        self.cell_store = Path(cell_store)
         self.max_retries = max_retries
         self.timeout_s = timeout_s
         self.backoff_base_s = backoff_base_s
@@ -356,10 +352,11 @@ class CampaignDispatcher:
         self.poll_interval_s = poll_interval_s
         self.workers = workers
         self.cell_chunk = cell_chunk
-        self.cell_store = cell_store
         self.fsync = fsync
         self.out_ledger = out_ledger
         self.fault_kill = fault_kill
+        self._cells = spec.cells()
+        self._store = CellStore(self.cell_store).bind(spec, self.config)
         self._fingerprint = spec.fingerprint(self.config)
         self._fingerprint_digest = sha256(
             json.dumps(self._fingerprint, sort_keys=True).encode()
@@ -398,10 +395,7 @@ class CampaignDispatcher:
             ranges[widest : widest + 1] = [(start, mid), (mid, stop)]
         return tuple(sorted(ranges))
 
-    def _ledger_path(self, start: int, stop: int) -> Path:
-        return self.work_dir / f"range-{start:06d}-{stop:06d}.jsonl"
-
-    def _command(self, start: int, stop: int, ledger: Path) -> list[str]:
+    def _command(self, start: int, stop: int) -> list[str]:
         """The ``repro campaign`` invocation for one cell range.
 
         Floats travel as ``repr`` so they round-trip bit-exactly
@@ -440,16 +434,13 @@ class CampaignDispatcher:
             str(self.workers),
             "--cell-range",
             f"{start}:{stop}",
-            "--ledger",
-            str(ledger),
-            "--resume",
+            "--cell-store",
+            str(self.cell_store),
         ]
         if self.cell_chunk is not None:
             command += ["--cell-chunk", str(self.cell_chunk)]
         if not self.fsync:
             command.append("--no-fsync")
-        if self.cell_store is not None:
-            command += ["--cell-store", str(self.cell_store)]
         return command
 
     def _subprocess_env(self) -> dict[str, str]:
@@ -462,43 +453,21 @@ class CampaignDispatcher:
         )
         return env
 
-    # --- merge (the source of truth) -------------------------------------
+    # --- the store projection (the source of truth) ---------------------
 
-    def _gather(self) -> tuple[dict[int, CellMetrics], tuple[str, ...]]:
-        """Merge every readable work-dir ledger into one record map.
+    def _gather(self) -> dict[int, CellMetrics]:
+        """Project the spec over the store: the cells present, by index.
 
-        Unreadable ledgers (empty file, torn header — the remains of a
-        killed shard) are reported and skipped; their cells simply stay
-        missing.  A ledger from a *different campaign* is an error: the
-        work directory is the dispatcher's resume identity, and mixing
-        campaigns in one would corrupt it silently.
+        One lookup per grid cell.  A missing, unreadable or mismatched
+        entry is a gap — its range is re-dispatched and the shard
+        rewrites the entry.
         """
         records: dict[int, CellMetrics] = {}
-        source: dict[int, Path] = {}
-        unreadable: list[str] = []
-        for path in sorted(self.work_dir.glob("range-*.jsonl")):
-            try:
-                contents = CampaignLedger(path).read()
-            except ConfigurationError:
-                unreadable.append(str(path))
-                continue
-            if contents.fingerprint != self._fingerprint:
-                raise ConfigurationError(
-                    f"work dir {self.work_dir} holds ledger {path} from "
-                    "a different campaign; refusing to dispatch into it"
-                )
-            for index, metrics in contents.records.items():
-                held = records.get(index)
-                if held is None:
-                    records[index] = metrics
-                    source[index] = path
-                elif held != metrics:
-                    raise ConfigurationError(
-                        f"work-dir ledgers disagree on cell {index}: "
-                        f"{source[index]} and {path} hold conflicting "
-                        "records"
-                    )
-        return records, tuple(unreadable)
+        for cell in self._cells:
+            metrics = self._store.get(cell)
+            if metrics is not None:
+                records[cell.index] = metrics
+        return records
 
     def _missing(
         self, records: dict[int, CellMetrics]
@@ -509,29 +478,24 @@ class CampaignDispatcher:
             if index not in records
         )
 
-    def _prepare_ledger(self, path: Path) -> None:
-        """Make a range's ledger resumable: drop it when unreadable.
+    def _stored_count(self, start: int, stop: int) -> int:
+        """Cells of ``[start, stop)`` whose store entry exists.
 
-        A shard killed before its header hit disk leaves a file
-        ``--resume`` would refuse; deleting it lets the re-dispatch
-        start fresh (the records, if any, were unreadable anyway).
+        The fault hook's trigger only: a stat per cell, so polling
+        neither reads entries nor moves the store's hit/miss counters.
         """
-        if not path.exists():
-            return
-        try:
-            CampaignLedger(path).read()
-        except ConfigurationError:
-            path.unlink(missing_ok=True)
+        return sum(
+            self._store.entry_path(cell).exists()
+            for cell in self._cells[start:stop]
+        )
 
     # --- the loop --------------------------------------------------------
 
     def run(self) -> DispatchReport:
-        """Dispatch until the merge is complete or retries are exhausted."""
+        """Dispatch until the store holds the grid or retries run out."""
         t_start = time.monotonic()
-        self.work_dir.mkdir(parents=True, exist_ok=True)
-        records, unreadable = self._gather()
+        records = self._gather()
         resumed_cells = len(records)
-        all_unreadable = list(unreadable)
         attempts: list[DispatchAttempt] = []
         backoffs: list[float] = []
         dispatch_count: dict[int, int] = {}
@@ -579,10 +543,7 @@ class CampaignDispatcher:
                         dispatch_count.get(index, 0) + 1
                     )
             rounds += 1
-            records, unreadable = self._gather()
-            all_unreadable.extend(
-                path for path in unreadable if path not in all_unreadable
-            )
+            records = self._gather()
         missing = self._missing(records)
         report = CampaignReport.from_records(self.spec, records)
         if self.out_ledger is not None and records:
@@ -598,7 +559,6 @@ class CampaignDispatcher:
             attempts=tuple(attempts),
             backoffs_s=tuple(backoffs),
             resumed_cells=resumed_cells,
-            unreadable_ledgers=tuple(all_unreadable),
             complete=not missing,
             exhausted=exhausted,
             missing_cells=missing,
@@ -622,16 +582,13 @@ class CampaignDispatcher:
         while pending or running:
             while pending and len(running) < self.shards:
                 start, stop, attempt_no = pending.pop(0)
-                ledger = self._ledger_path(start, stop)
-                self._prepare_ledger(ledger)
                 now = time.monotonic()
                 launched = _Launched(
                     start=start,
                     stop=stop,
                     attempt=attempt_no,
-                    ledger=ledger,
                     process=subprocess.Popen(
-                        self._command(start, stop, ledger),
+                        self._command(start, stop),
                         env=env,
                         stdout=subprocess.DEVNULL,
                         stderr=subprocess.DEVNULL,
@@ -654,12 +611,12 @@ class CampaignDispatcher:
                     finished.append((launched, code))
                     continue
                 # The fault fires only while the shard still has cells
-                # left to write: a kill after the last record leaves no
+                # left to store: a kill after the last entry leaves no
                 # gap, which would silently defeat what the hook tests.
                 if (
                     launched.fault_after_cells is not None
                     and launched.fault_after_cells
-                    <= self._ledger_cell_count(launched.ledger)
+                    <= self._stored_count(launched.start, launched.stop)
                     < launched.stop - launched.start
                 ):
                     launched.fault_injected = True
@@ -690,7 +647,6 @@ class CampaignDispatcher:
                 stop=launched.stop,
                 round=round_index,
                 attempt=launched.attempt,
-                ledger=str(launched.ledger),
                 exit_code=code,
                 timed_out=launched.timed_out,
                 fault_injected=launched.fault_injected,
@@ -699,27 +655,15 @@ class CampaignDispatcher:
             for launched, code in finished
         ]
 
-    @staticmethod
-    def _ledger_cell_count(path: Path) -> int:
-        """Cell records currently in a ledger file (0 when unreadable).
-
-        The fault hook's trigger only — tolerant of every torn state a
-        ledger passes through while its shard is being written.
-        """
-        try:
-            lines = path.read_text().splitlines()
-        except OSError:
-            return -1 if not path.exists() else 0
-        return max(0, sum(1 for line in lines if line.strip()) - 1)
-
 
 def parse_fault_kill(value: str | None) -> tuple[int, int] | None:
     """Parse the ``REPRO_FAULT_KILL_SHARD`` hook value.
 
-    ``"1"`` kills first-round shard 1 as soon as its ledger exists;
-    ``"1:3"`` waits until it holds 3 cell records.  Either way the kill
-    only fires while the shard still has cells left to write — a shard
-    that outruns the poller simply completes.  None/empty: no fault.
+    ``"1"`` kills first-round shard 1 at its first poll; ``"1:3"``
+    waits until the store holds 3 of its range's cells.  Either way the
+    kill only fires while the shard still has cells left to store — a
+    shard that outruns the poller simply completes.  None/empty: no
+    fault.
     """
     if not value:
         return None

@@ -48,7 +48,9 @@ CELL_STORE_REPORT_SCHEMA = "repro.cell-store-report/v1"
 #: Dispatch reports (``repro campaign-dispatch --json``): the full
 #: retry history of a gap-driven sharded campaign — per-range attempts
 #: with exit codes, backoff delays, and the merged campaign document.
-DISPATCH_REPORT_SCHEMA = "repro.dispatch-report/v1"
+#: v2 dropped the per-attempt ``ledger`` path and the report's
+#: ``unreadable_ledgers`` list (the cell store is the only record).
+DISPATCH_REPORT_SCHEMA = "repro.dispatch-report/v2"
 
 #: Raw per-stage profile documents
 #: (:meth:`repro.profiling.ProfileRecorder.to_dict`).

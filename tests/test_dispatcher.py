@@ -3,11 +3,12 @@
 The load-bearing contracts:
 
 * **Convergence** — a dispatch whose shards all complete, and one whose
-  shard is SIGKILLed mid-run, both end with the merged grid complete
+  shard is SIGKILLed mid-run, both end with the projected grid complete
   and bit-identical to the single-process campaign.
-* **The merge is the source of truth** — a killed shard's completed
-  cells are kept; only the actual gaps are re-dispatched, as coalesced
-  contiguous ranges.
+* **The store is the source of truth** — a killed shard's stored cells
+  are kept; only the actual gaps (missing or corrupt entries) are
+  re-dispatched, as coalesced contiguous ranges.  A dispatch writes no
+  ledger unless asked to export one.
 * **Determinism of decisions** — range planning and backoff jitter are
   pure functions of the campaign fingerprint and round index.
 * **Bounded failure** — the per-cell retry budget turns a persistent
@@ -19,9 +20,11 @@ The load-bearing contracts:
 """
 
 import json
+import os
 
 import pytest
 
+from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.runtime.campaign import CampaignLedger, CampaignSpec, run_campaign
 from repro.runtime.cell_store import QUARANTINE_DIR, CellStore
@@ -31,7 +34,7 @@ from repro.runtime.dispatcher import (
     backoff_jitter,
     parse_fault_kill,
 )
-from repro.runtime.shards import coalesce_cell_ranges, merge_campaign_ledgers
+from repro.runtime.shards import coalesce_cell_ranges
 from repro.technology.corners import Corner
 
 SMALL = dict(
@@ -105,7 +108,7 @@ class TestBackoff:
 class TestPlanRanges:
     def test_full_grid_matches_shard_planning(self, small_spec, tmp_path):
         dispatcher = CampaignDispatcher(
-            small_spec, shards=3, work_dir=tmp_path
+            small_spec, shards=3, cell_store=tmp_path
         )
         planned = dispatcher.plan_ranges(tuple(range(small_spec.n_cells)))
         assert planned == tuple(
@@ -114,7 +117,7 @@ class TestPlanRanges:
 
     def test_partial_gap_splits_widest_range(self, small_spec, tmp_path):
         dispatcher = CampaignDispatcher(
-            small_spec, shards=3, work_dir=tmp_path
+            small_spec, shards=3, cell_store=tmp_path
         )
         # One wide gap plus one singleton: the wide one splits until
         # three units of work exist.
@@ -123,13 +126,13 @@ class TestPlanRanges:
 
     def test_never_splits_below_one_cell(self, small_spec, tmp_path):
         dispatcher = CampaignDispatcher(
-            small_spec, shards=4, work_dir=tmp_path
+            small_spec, shards=4, cell_store=tmp_path
         )
         assert dispatcher.plan_ranges((5,)) == ((5, 6),)
 
     def test_empty_missing_plans_nothing(self, small_spec, tmp_path):
         dispatcher = CampaignDispatcher(
-            small_spec, shards=2, work_dir=tmp_path
+            small_spec, shards=2, cell_store=tmp_path
         )
         assert dispatcher.plan_ranges(()) == ()
 
@@ -154,23 +157,23 @@ class TestFaultParsing:
 class TestDispatcherValidation:
     def test_bad_shards(self, small_spec, tmp_path):
         with pytest.raises(ConfigurationError, match="shard"):
-            CampaignDispatcher(small_spec, shards=0, work_dir=tmp_path)
+            CampaignDispatcher(small_spec, shards=0, cell_store=tmp_path)
 
     def test_bad_retries(self, small_spec, tmp_path):
         with pytest.raises(ConfigurationError, match="max_retries"):
             CampaignDispatcher(
-                small_spec, shards=2, work_dir=tmp_path, max_retries=-1
+                small_spec, shards=2, cell_store=tmp_path, max_retries=-1
             )
 
     def test_bad_timeout(self, small_spec, tmp_path):
         with pytest.raises(ConfigurationError, match="timeout"):
             CampaignDispatcher(
-                small_spec, shards=2, work_dir=tmp_path, timeout_s=0.0
+                small_spec, shards=2, cell_store=tmp_path, timeout_s=0.0
             )
 
     def test_shards_clamped_to_grid(self, small_spec, tmp_path):
         dispatcher = CampaignDispatcher(
-            small_spec, shards=99, work_dir=tmp_path
+            small_spec, shards=99, cell_store=tmp_path
         )
         assert dispatcher.shards == small_spec.n_cells
 
@@ -179,17 +182,18 @@ class TestDispatchEndToEnd:
     @pytest.fixture(scope="class")
     def dispatched(self, small_spec, tmp_path_factory):
         work = tmp_path_factory.mktemp("dispatch")
+        export = tmp_path_factory.mktemp("export") / "merged.jsonl"
         dispatcher = CampaignDispatcher(
             small_spec,
             shards=3,
-            work_dir=work,
+            cell_store=work / "cells",
             cell_chunk=1,
-            out_ledger=work / "merged.jsonl",
+            out_ledger=export,
         )
-        return work, dispatcher.run()
+        return work, export, dispatcher.run()
 
     def test_completes_in_one_round(self, dispatched):
-        _, report = dispatched
+        _, _, report = dispatched
         assert report.complete and not report.exhausted
         assert report.rounds == 1
         assert len(report.attempts) == 3
@@ -197,30 +201,36 @@ class TestDispatchEndToEnd:
         assert all(a.exit_code == 0 for a in report.attempts)
 
     def test_bit_identical_to_single_process(self, dispatched, single_report):
-        _, report = dispatched
+        _, _, report = dispatched
         assert report.report.cells == single_report.cells
 
     def test_out_ledger_resumable(self, dispatched, small_spec):
-        work, report = dispatched
-        resumed = run_campaign(
-            small_spec, ledger_path=work / "merged.jsonl", resume=True
-        )
+        _, export, report = dispatched
+        resumed = run_campaign(small_spec, ledger_path=export, resume=True)
         assert resumed.resumed_cells == small_spec.n_cells
         assert resumed.cells == report.report.cells
 
+    def test_store_is_the_only_record(self, dispatched, small_spec):
+        work, _, _ = dispatched
+        assert not list(work.rglob("*.jsonl"))
+        stats = CellStore(work / "cells").stats()
+        assert stats.n_entries == small_spec.n_cells
+
     def test_report_document(self, dispatched):
-        _, report = dispatched
+        _, _, report = dispatched
         document = json.loads(report.to_json())
-        assert document["schema"] == "repro.dispatch-report/v1"
+        assert document["schema"] == "repro.dispatch-report/v2"
+        assert "unreadable_ledgers" not in document
         assert document["complete"] is True
         assert document["missing_cells"] == []
         assert len(document["attempts"]) == 3
+        assert all("ledger" not in a for a in document["attempts"])
         assert document["campaign"]["n_complete"] == 8
 
     def test_rerun_resumes_and_launches_nothing(self, dispatched, small_spec):
-        work, _ = dispatched
+        work, _, _ = dispatched
         rerun = CampaignDispatcher(
-            small_spec, shards=3, work_dir=work
+            small_spec, shards=3, cell_store=work / "cells"
         ).run()
         assert rerun.complete
         assert rerun.rounds == 0
@@ -235,7 +245,7 @@ class TestDispatchRecovery:
         dispatcher = CampaignDispatcher(
             small_spec,
             shards=3,
-            work_dir=tmp_path,
+            cell_store=tmp_path,
             cell_chunk=1,
             backoff_base_s=0.01,
             poll_interval_s=0.01,
@@ -268,7 +278,7 @@ class TestDispatchRecovery:
         dispatcher = CampaignDispatcher(
             small_spec,
             shards=3,
-            work_dir=tmp_path,
+            cell_store=tmp_path,
             cell_chunk=1,
             max_retries=0,
             poll_interval_s=0.01,
@@ -290,7 +300,7 @@ class TestDispatchRecovery:
         dispatcher = CampaignDispatcher(
             small_spec,
             shards=2,
-            work_dir=tmp_path,
+            cell_store=tmp_path,
             max_retries=0,
             timeout_s=0.05,
         )
@@ -303,47 +313,69 @@ class TestDispatchRecovery:
         assert "EXHAUSTED" in report.render()
 
     def test_resume_from_externally_run_shards(self, small_spec, tmp_path):
-        # Shards run by hand (no dispatcher) land in the work dir; the
+        # Shards run by hand (no dispatcher) write into the store; the
         # dispatcher picks them up and only runs what is missing —
         # here, nothing.
         for start, stop in ((0, 4), (4, 8)):
             run_campaign(
                 small_spec,
                 cell_range=(start, stop),
-                ledger_path=tmp_path / f"range-{start:06d}-{stop:06d}.jsonl",
+                cell_store=tmp_path / "cells",
             )
         report = CampaignDispatcher(
-            small_spec, shards=2, work_dir=tmp_path
+            small_spec, shards=2, cell_store=tmp_path / "cells"
         ).run()
         assert report.complete
         assert report.attempts == ()
         assert report.resumed_cells == small_spec.n_cells
 
-    def test_unreadable_ledger_is_reported_and_rerun(
-        self, small_spec, tmp_path
+    def test_corrupt_store_entry_is_redispatched_and_rewritten(
+        self, small_spec, single_report, tmp_path
     ):
-        # The remains of a shard killed before its header hit disk.
-        (tmp_path / "range-000000-000004.jsonl").write_text("garbage\n")
+        store = CellStore(tmp_path / "cells")
+        run_campaign(small_spec, cell_store=store)
+        bound = store.bind(small_spec, AdcConfig.paper_default())
+        victim = bound.entry_path(small_spec.cells()[5])
+        victim.write_text("not json")
         report = CampaignDispatcher(
-            small_spec, shards=2, work_dir=tmp_path, cell_chunk=1
+            small_spec, shards=2, cell_store=store.root, cell_chunk=1
         ).run()
         assert report.complete
-        assert report.unreadable_ledgers == (
-            str(tmp_path / "range-000000-000004.jsonl"),
-        )
+        assert report.resumed_cells == small_spec.n_cells - 1
+        assert [(a.start, a.stop) for a in report.attempts] == [(5, 6)]
+        assert report.report.cells == single_report.cells
+        # The shard rewrote the damaged entry.
+        assert store.verify().clean
+        assert bound.get(small_spec.cells()[5]) == single_report.cells[5]
 
-    def test_foreign_campaign_work_dir_refused(self, small_spec, tmp_path):
-        other = CampaignSpec(**{**SMALL, "seed": 1})
-        run_campaign(
-            other,
-            cell_range=(0, 4),
-            ledger_path=tmp_path / "range-000000-000004.jsonl",
+    def test_two_campaigns_share_one_store(
+        self, small_spec, single_report, tmp_path
+    ):
+        # Same seed and dies, one corner in common: the SS cells carry
+        # the same physics identity in both grids.
+        other_spec = CampaignSpec(
+            **{**SMALL, "corners": (Corner.SS, Corner.FF)}
         )
-        dispatcher = CampaignDispatcher(
-            small_spec, shards=2, work_dir=tmp_path
-        )
-        with pytest.raises(ConfigurationError, match="different campaign"):
-            dispatcher.run()
+        store = tmp_path / "cells"
+        first = CampaignDispatcher(
+            small_spec, shards=2, cell_store=store
+        ).run()
+        second = CampaignDispatcher(
+            other_spec, shards=2, cell_store=store
+        ).run()
+        assert first.complete and second.complete
+        assert first.report.cells == single_report.cells
+        assert second.report.cells == run_campaign(other_spec).cells
+        shared = sum(c.corner == "ss" for c in second.report.cells)
+        assert second.resumed_cells == shared == 4
+        launched = sum(a.stop - a.start for a in second.attempts)
+        assert launched == other_spec.n_cells - shared
+        # The first campaign's projection is untouched by the second.
+        again = CampaignDispatcher(
+            small_spec, shards=2, cell_store=store
+        ).run()
+        assert again.attempts == ()
+        assert again.report.cells == single_report.cells
 
 
 class TestDispatchCli:
@@ -383,18 +415,22 @@ class TestDispatchCli:
         out = capsys.readouterr().out
         assert "dispatch: complete" in out
         document = json.loads(json_path.read_text())
-        assert document["schema"] == "repro.dispatch-report/v1"
+        assert document["schema"] == "repro.dispatch-report/v2"
         assert any(a["fault_injected"] for a in document["attempts"])
         assert document["campaign"]["cells"] == [
             cell.to_record() for cell in single_report.cells
         ]
+        # Without --cell-store the store lives in the work dir, and no
+        # ledger is written there.
+        work = tmp_path / "work"
+        assert CellStore(work / "cells").stats().n_entries == 8
+        assert not list(work.rglob("*.jsonl"))
 
     def test_exhausted_cli_exit_code(self, tmp_path, monkeypatch):
         from repro.cli import main
 
-        # Two cells per shard: the fault window (header written, range
-        # not yet complete) spans a full cell measurement, so the
-        # poller reliably lands inside it.
+        # With no cells required the fault fires at the killed shard's
+        # first poll, long before it can store its two cells.
         monkeypatch.setenv("REPRO_FAULT_KILL_SHARD", "0")
         code = main(
             [
@@ -461,23 +497,29 @@ class TestDispatchCli:
 
 
 class TestMergeFsync:
-    def test_out_ledger_without_fsync(self, small_spec, tmp_path):
-        paths = []
+    def test_out_ledger_without_fsync(
+        self, small_spec, tmp_path, monkeypatch
+    ):
         for shard in small_spec.shards(2):
-            path = tmp_path / f"shard-{shard.index}.jsonl"
             run_campaign(
                 small_spec,
                 cell_range=shard.cell_range,
-                ledger_path=path,
+                cell_store=tmp_path / "cells",
             )
-            paths.append(path)
+        calls = []
+        monkeypatch.setattr(os, "fsync", calls.append)
         merged = tmp_path / "merged.jsonl"
-        report = merge_campaign_ledgers(
-            paths, out_ledger=merged, fsync=False
-        )
+        report = CampaignDispatcher(
+            small_spec,
+            shards=2,
+            cell_store=tmp_path / "cells",
+            fsync=False,
+            out_ledger=merged,
+        ).run()
         assert report.complete
+        assert calls == []
         resumed = run_campaign(small_spec, ledger_path=merged, resume=True)
-        assert resumed.cells == report.cells
+        assert resumed.cells == report.report.cells
 
 
 class TestCellStoreHygiene:

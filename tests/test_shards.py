@@ -1,32 +1,29 @@
-"""Tests for sharded campaigns, ledger merging and the cell store.
+"""Tests for sharded campaigns and the cell store they share.
 
 The load-bearing contracts:
 
-* **Shard-merge equivalence** — running every shard of a grid (its own
-  ledger each) and merging reproduces the single-process campaign's
-  per-cell metrics bit for bit.
-* **Merge safety** — ledgers from a different campaign are refused,
-  conflicting overlaps are an error naming the cell and both ledgers,
-  and gaps leave the merged report incomplete with the missing cell
-  indices listed.
+* **Shard-store equivalence** — running every shard of a grid into one
+  cell store and projecting the grid over it reproduces the
+  single-process campaign's per-cell metrics bit for bit.
+* **Gaps are missing keys** — a partial store leaves exactly the cells
+  no shard stored missing; overlapping shards store each cell once.
 * **Cell-store reuse** — a campaign sharing cells with an earlier run
   (same physics identity) resumes them from the content-addressed
-  store with zero recomputation, across grid shapes.
+  store with zero recomputation, across grid shapes; a damaged entry
+  is a miss that the next run rewrites, and every write is fsynced
+  unless the campaign opts out.
 """
 
 import json
-import re
+import os
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.runtime.cell_store import CellStore
-from repro.runtime.shards import (
-    merge_campaign_ledgers,
-    run_campaign_shard,
-    spec_from_fingerprint,
-)
+from repro.runtime.dispatcher import CampaignDispatcher
+from repro.runtime.shards import run_campaign_shard
 from repro.technology.corners import Corner
 
 SMALL = dict(
@@ -49,16 +46,13 @@ def single_report(small_spec):
 
 
 @pytest.fixture(scope="module")
-def shard_ledgers(small_spec, tmp_path_factory):
-    """Both shards of the small grid run to their own ledgers."""
-    root = tmp_path_factory.mktemp("shards")
-    paths = []
+def shard_store(small_spec, tmp_path_factory):
+    """Both shards of the small grid run into one shared cell store."""
+    store = tmp_path_factory.mktemp("shards") / "cells"
     for shard in small_spec.shards(2):
-        path = root / f"shard-{shard.index}.jsonl"
-        report = run_campaign_shard(shard, ledger_path=path)
+        report = run_campaign_shard(shard, cell_store=store)
         assert report.complete
-        paths.append(path)
-    return paths
+    return store
 
 
 class TestShardPlanning:
@@ -99,28 +93,17 @@ class TestShardPlanning:
                 small_spec, cell_range=(0, small_spec.n_cells + 1)
             )
 
-    def test_spec_from_fingerprint_roundtrips(
-        self, small_spec, paper_config
-    ):
-        fingerprint = small_spec.fingerprint(paper_config)
-        rebuilt = spec_from_fingerprint(fingerprint)
-        assert rebuilt.fingerprint(paper_config) == fingerprint
-        assert rebuilt.cells() == small_spec.cells()
-
-    def test_spec_from_fingerprint_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            spec_from_fingerprint({"spec": {"corners": ["tt"]}})
-
 
 class TestShardMerge:
+    """Shards merge through the store: a projection, not a ledger merge."""
+
     def test_merge_is_bit_identical_to_single_run(
-        self, shard_ledgers, single_report, tmp_path
+        self, shard_store, small_spec, single_report
     ):
-        merged = merge_campaign_ledgers(
-            shard_ledgers, out_ledger=tmp_path / "merged.jsonl"
-        )
+        merged = run_campaign(small_spec, cell_store=shard_store)
         assert merged.complete
-        assert merged.resumed_cells == merged.n_cells
+        assert merged.cached_cells == merged.n_cells
+        assert merged.batch.n_tasks == 0
         assert merged.cells == single_report.cells
         assert (
             merged.to_dict()["signoff"]
@@ -128,10 +111,15 @@ class TestShardMerge:
         )
 
     def test_merged_ledger_resumes_the_unsharded_campaign(
-        self, shard_ledgers, small_spec, single_report, tmp_path
+        self, shard_store, small_spec, single_report, tmp_path
     ):
+        # A complete store launches nothing; --out-ledger exports it.
         out = tmp_path / "merged.jsonl"
-        merge_campaign_ledgers(shard_ledgers, out_ledger=out)
+        dispatch = CampaignDispatcher(
+            small_spec, shards=2, cell_store=shard_store, out_ledger=out
+        ).run()
+        assert dispatch.complete
+        assert dispatch.attempts == ()
         resumed = run_campaign(
             small_spec, ledger_path=out, resume=True
         )
@@ -139,61 +127,47 @@ class TestShardMerge:
         assert resumed.batch.n_tasks == 0
         assert resumed.cells == single_report.cells
 
-    def test_gap_reports_missing_cells(self, shard_ledgers, small_spec):
-        merged = merge_campaign_ledgers(shard_ledgers[:1])
-        assert not merged.complete
-        missing = merged.missing_cell_indices()
-        assert missing == tuple(range(4, small_spec.n_cells))
-        rendered = merged.render()
+    def test_gap_reports_missing_cells(
+        self, small_spec, single_report, tmp_path
+    ):
+        store = tmp_path / "cells"
+        run_campaign_shard(small_spec.shard(0, 2), cell_store=store)
+        # The one gap range is killed at its first poll and may not be
+        # retried: the report is exactly what the store holds.
+        dispatch = CampaignDispatcher(
+            small_spec,
+            shards=1,
+            cell_store=store,
+            max_retries=0,
+            poll_interval_s=0.01,
+            fault_kill=(0, 0),
+        ).run()
+        assert dispatch.exhausted
+        missing = tuple(range(4, small_spec.n_cells))
+        assert dispatch.missing_cells == missing
+        assert [(a.start, a.stop) for a in dispatch.attempts] == [(4, 8)]
+        assert dispatch.report.cells == single_report.cells[:4]
+        assert dispatch.report.missing_cell_indices() == missing
+        rendered = dispatch.report.render()
         assert "INCOMPLETE: 4 cell(s) missing" in rendered
         assert "4, 5, 6, 7" in rendered
-        document = merged.to_dict()
+        document = dispatch.to_dict()
         assert document["missing_cells"] == list(missing)
+        assert document["campaign"]["missing_cells"] == list(missing)
 
-    def test_identical_overlap_merges_cleanly(self, shard_ledgers):
-        merged = merge_campaign_ledgers(
-            [shard_ledgers[0], shard_ledgers[0], shard_ledgers[1]]
-        )
-        assert merged.complete
-
-    def test_conflicting_overlap_is_an_error(
-        self, shard_ledgers, tmp_path
+    def test_identical_overlap_merges_cleanly(
+        self, small_spec, single_report, tmp_path
     ):
-        doctored = tmp_path / "doctored.jsonl"
-        lines = shard_ledgers[0].read_text().splitlines()
-        record = json.loads(lines[1])
-        record["sndr_db"] += 1.0
-        lines[1] = json.dumps(record)
-        doctored.write_text("\n".join(lines) + "\n")
-        expected = (
-            f"shard ledgers disagree on cell {record['index']}: "
-            f"{shard_ledgers[0]} and {doctored} hold conflicting records"
+        store = tmp_path / "cells"
+        run_campaign(small_spec, cell_range=(0, 5), cell_store=store)
+        overlap = run_campaign(
+            small_spec, cell_range=(3, 8), cell_store=store
         )
-        with pytest.raises(
-            ConfigurationError, match=re.escape(expected)
-        ):
-            merge_campaign_ledgers([shard_ledgers[0], doctored])
-
-    def test_foreign_campaign_is_refused(
-        self, shard_ledgers, tmp_path
-    ):
-        other = CampaignSpec(**{**SMALL, "n_samples": 1024})
-        foreign = tmp_path / "foreign.jsonl"
-        run_campaign_shard(
-            other.shard(0, 2), ledger_path=foreign
-        )
-        expected = (
-            f"shard ledger {foreign} was written by a different "
-            f"campaign than {shard_ledgers[0]}; refusing to merge"
-        )
-        with pytest.raises(
-            ConfigurationError, match=re.escape(expected)
-        ):
-            merge_campaign_ledgers([shard_ledgers[0], foreign])
-
-    def test_merge_needs_ledgers(self):
-        with pytest.raises(ConfigurationError, match="no shard ledgers"):
-            merge_campaign_ledgers([])
+        assert overlap.cached_cells == 2
+        assert CellStore(store).stats().n_entries == small_spec.n_cells
+        merged = run_campaign(small_spec, cell_store=store)
+        assert merged.cached_cells == small_spec.n_cells
+        assert merged.cells == single_report.cells
 
 
 class TestCellStore:
@@ -248,6 +222,45 @@ class TestCellStore:
         report = run_campaign(small_spec, cell_store=store)
         assert report.cached_cells == 0
         assert report.complete
+        # The miss rewrote every damaged entry.
+        healed = run_campaign(small_spec, cell_store=store)
+        assert healed.cached_cells == small_spec.n_cells
+        assert healed.cells == report.cells
+
+    def test_non_object_entry_is_a_miss(self, paper_config, tmp_path):
+        tiny = CampaignSpec(
+            **{**SMALL, "corners": (Corner.TT,), "temperatures_c": (27.0,)}
+        )
+        store = tmp_path / "store"
+        run_campaign(tiny, cell_store=store)
+        for path in store.rglob("*.json"):
+            path.write_text("[]")
+        bound = CellStore(store).bind(tiny, paper_config)
+        assert bound.get(tiny.cells()[0]) is None
+        assert run_campaign(tiny, cell_store=store).cached_cells == 0
+        assert run_campaign(tiny, cell_store=store).cached_cells == 2
+
+    def test_fsync_switch_covers_store_writes(
+        self, small_spec, tmp_path, monkeypatch
+    ):
+        tiny = CampaignSpec(
+            **{**SMALL, "corners": (Corner.TT,), "temperatures_c": (27.0,)}
+        )
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        run_campaign(tiny, cell_store=tmp_path / "durable")
+        # One fsync for each entry file and one for its prefix dir.
+        assert len(calls) == 2 * tiny.n_cells
+        calls.clear()
+        run_campaign(tiny, cell_store=tmp_path / "fast", fsync=False)
+        assert calls == []
+        assert CellStore(tmp_path / "fast").stats().n_entries == tiny.n_cells
 
     def test_ledger_resume_backfills_the_store(
         self, small_spec, tmp_path
@@ -307,41 +320,29 @@ class TestShardCli:
             "2",
             "--fft-points",
             "512",
-            "--cell-store",
-            str(tmp_path / "store"),
         ]
+        store = ["--cell-store", str(tmp_path / "store")]
         for index in (0, 1):
-            ledger = tmp_path / f"shard-{index}.jsonl"
-            assert (
-                main(base + ["--shard", f"{index}/2", "--ledger", str(ledger)])
-                == 0
-            )
-        capsys.readouterr()
-        out = tmp_path / "merged.json"
-        assert (
-            main(
-                [
-                    "campaign-merge",
-                    str(tmp_path / "shard-0.jsonl"),
-                    str(tmp_path / "shard-1.jsonl"),
-                    "--out-ledger",
-                    str(tmp_path / "merged.jsonl"),
-                    "--json",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        text = capsys.readouterr().out
-        assert "PVT campaign: 4/4 cells" in text
-        document = json.loads(out.read_text())
-        assert document["n_complete"] == 4
+            assert main(base + store + ["--shard", f"{index}/2"]) == 0
+        # The whole-grid run over the shards' store is the merge.
+        merged = tmp_path / "merged.json"
+        assert main(base + store + ["--json", str(merged)]) == 0
+        assert "PVT campaign: 4/4 cells" in capsys.readouterr().out
+        single = tmp_path / "single.json"
+        assert main(base + ["--json", str(single)]) == 0
+        document = json.loads(merged.read_text())
+        reference = json.loads(single.read_text())
+        assert document["cached_cells"] == document["n_cells"] == 4
         assert document["missing_cells"] == []
-        # A partial merge exits 1 and lists the gap.
-        assert (
-            main(["campaign-merge", str(tmp_path / "shard-0.jsonl")]) == 1
-        )
-        assert "INCOMPLETE" in capsys.readouterr().out
+        assert document["cells"] == reference["cells"]
+        assert document["signoff"] == reference["signoff"]
+        assert not list(tmp_path.rglob("*.jsonl"))
+
+    def test_campaign_merge_is_not_a_subcommand(self, capsys):
+        from repro.cli import main
+
+        assert main(["campaign-merge", "shard-0.jsonl"]) == 2
+        assert "campaign-merge" in capsys.readouterr().err
 
     def test_shard_flag_validation(self, capsys):
         from repro.cli import main
