@@ -36,9 +36,12 @@ die's codes are bit-exact for any worker count); the fast tier is
 instead gated by statistical equivalence — every metric must agree
 with serial within a documented tolerance, never bitwise.  The wall
 times plus speedups are emitted as a ``BENCH_engines.json`` artifact
-for the perf trajectory.  The artifact records environment metadata
-(numpy version, CPU count, platform) so baseline comparisons across
-machines are interpretable.
+for the perf trajectory, each configuration with its
+``parallel_efficiency`` (speedup over serial per worker).  The artifact
+records environment metadata (numpy version, CPU count, platform, and
+the BLAS thread configuration: the OpenBLAS under thread control or
+``"unpinned"``, the parent's thread count and the count a batch task
+reads back) so baseline comparisons across machines are interpretable.
 
 ``--compare-baseline PATH`` additionally compares the fresh run against
 a committed baseline artifact (``benchmarks/BENCH_baseline.json``): the
@@ -232,6 +235,9 @@ def _compare_configs(run_one, workers: int) -> dict:
     serial_time = results["serial"]["elapsed_s"]
     for entry in results.values():
         entry["speedup_vs_serial"] = serial_time / entry["elapsed_s"]
+        entry["parallel_efficiency"] = (
+            entry["speedup_vs_serial"] / entry["workers"]
+        )
     best = max(results, key=lambda name: results[name]["speedup_vs_serial"])
     return {
         "engines": results,
@@ -294,6 +300,25 @@ def _run_sharded_campaign_config(
         (c.index, c.snr_db, c.sndr_db, c.sfdr_db, c.enob_bits)
         for c in merged.cells
     )
+
+
+def _task_blas_threads(_task) -> int | None:
+    from repro.runtime.blas import blas_threads
+
+    return blas_threads()
+
+
+def _blas_environment(workers: int) -> dict:
+    """The BLAS under thread control and the counts parent and task read."""
+    from repro.runtime.batch import BatchRunner
+    from repro.runtime.blas import blas_name, blas_threads
+
+    batch = BatchRunner(workers=workers).run(_task_blas_threads, range(workers))
+    return {
+        "library": blas_name(),
+        "parent_threads": blas_threads(),
+        "pool_task_threads": batch.values[0],
+    }
 
 
 def run_engine_comparison(
@@ -428,6 +453,7 @@ def run_engine_comparison(
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas_environment(workers),
         "workloads": workloads,
         "all_consistent": all(
             w["all_consistent"] for w in workloads.values()
@@ -818,7 +844,8 @@ def _print_document(document: dict) -> None:
             )
             print(
                 f"  {config:>15}: {entry['elapsed_s']:6.2f} s  "
-                f"({entry['speedup_vs_serial']:.2f}x vs serial){marker}"
+                f"({entry['speedup_vs_serial']:.2f}x vs serial, "
+                f"{entry['parallel_efficiency']:.2f} efficiency){marker}"
             )
 
 
@@ -835,6 +862,16 @@ def test_engine_comparison_smoke(tmp_path):
     assert document["all_consistent"], document
     assert document["schema"] == BENCH_ENGINES_SCHEMA
     assert document["numpy"]
+    blas = document["blas"]
+    assert blas["library"]
+    if blas["library"] != "unpinned":
+        assert blas["pool_task_threads"] == 1
+    for workload in document["workloads"].values():
+        for entry in workload["engines"].values():
+            assert math.isclose(
+                entry["parallel_efficiency"],
+                entry["speedup_vs_serial"] / entry["workers"],
+            )
     assert "calibrated-yield" in document["workloads"]
     assert document["workloads"]["calibrated-yield"]["all_consistent"]
     assert "pvt-campaign" in document["workloads"]

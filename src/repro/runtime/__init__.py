@@ -4,6 +4,8 @@ The runtime is the scaling layer every fan-out workload goes through:
 
 * :class:`BatchRunner` — worker-pool execution with chunked dispatch,
   progress callbacks and failure isolation.
+* :mod:`repro.runtime.blas` — one BLAS thread per batch task (the pool
+  and the shards already supply the parallelism).
 * :mod:`repro.runtime.seeding` — ``SeedSequence``-spawned per-task
   seeds, invariant to chunking and worker count.
 * :mod:`repro.runtime.montecarlo` — the Monte Carlo yield workload

@@ -18,6 +18,9 @@ executes that shape across a ``multiprocessing`` pool with
 ``workers=1`` bypasses the pool entirely and runs the same wrapped
 tasks in-process, so serial batches are bit-exact with the legacy
 serial loops and task callables need not be picklable.
+
+Every task runs with one BLAS thread (:mod:`repro.runtime.blas`): the
+pool and the dispatcher's shards already supply the parallelism.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.profiling import active as _active_profile
+from repro.runtime.blas import (
+    blas_library,
+    pin_blas_threads,
+    single_blas_thread,
+)
 from repro.runtime.seeding import derive_seeds
 from repro.schemas import BATCH_RESULT_SCHEMA
 
@@ -396,17 +404,17 @@ class BatchRunner:
             are invariant to this — it only tunes IPC granularity.
         progress: callback invoked with a :class:`BatchProgress` after
             every completed task.
-        mp_context: multiprocessing start method ("fork", "spawn",
-            "forkserver"); None uses the platform default.
 
     Task callables must be picklable (module-level functions) when
-    ``workers > 1``; the serial path has no such requirement.
+    ``workers > 1``; the serial path has no such requirement.  Tasks
+    run with one BLAS thread either way: pool workers pin it when they
+    start, and the serial path pins it for the batch and then restores
+    the caller's count.
     """
 
     workers: int | None = 1
     chunk_size: int | None = None
     progress: ProgressCallback | None = None
-    mp_context: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
@@ -509,14 +517,20 @@ class BatchRunner:
                 )
 
         if workers == 1:
-            for payload in payloads:
-                outcome = _run_task(payload, in_process=True)
-                note(outcome)
-                if not outcome.ok and _stops_batch(stop_on_failure, outcome):
-                    break
+            with single_blas_thread():
+                for payload in payloads:
+                    outcome = _run_task(payload, in_process=True)
+                    note(outcome)
+                    if not outcome.ok and _stops_batch(stop_on_failure, outcome):
+                        break
         else:
-            context = multiprocessing.get_context(self.mp_context)
-            with context.Pool(processes=workers) as pool:
+            # Resolve in the parent: forked workers inherit the cached
+            # library instead of each searching for it, a search that
+            # cost every worker about 0.3 MB of peak RSS.
+            blas_library()
+            with multiprocessing.Pool(
+                processes=workers, initializer=pin_blas_threads
+            ) as pool:
                 for outcome in pool.imap_unordered(
                     _run_task, payloads, chunksize=chunk_size
                 ):

@@ -899,7 +899,6 @@ def run_campaign(
     cell_chunk: int | None = None,
     workers: int | None = 1,
     progress: ProgressCallback | None = None,
-    mp_context: str | None = None,
     cell_range: tuple[int, int] | None = None,
     cell_store: "CellStore | str | Path | None" = None,
     fsync: bool = True,
@@ -922,7 +921,6 @@ def run_campaign(
             count.
         workers: worker processes (1 = serial, None = all CPUs).
         progress: progress callback (per cell chunk).
-        mp_context: multiprocessing start method override.
         cell_range: run only grid cells ``[start, stop)`` — a shard of
             the campaign (usually via
             :meth:`CampaignSpec.shard` and
@@ -1016,7 +1014,7 @@ def run_campaign(
 
     cell_by_index = {cell.index: cell for cell in cells}
 
-    runner = BatchRunner(workers=workers, progress=checkpoint, mp_context=mp_context)
+    runner = BatchRunner(workers=workers, progress=checkpoint)
     if not pending:
         batch = BatchResult(
             outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0

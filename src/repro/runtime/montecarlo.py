@@ -457,7 +457,6 @@ def run_yield_analysis(
     die_chunk: int | None = None,
     workers: int | None = 1,
     progress: ProgressCallback | None = None,
-    mp_context: str | None = None,
 ) -> YieldReport:
     """Run a Monte Carlo yield analysis across the batch runtime.
 
@@ -488,7 +487,6 @@ def run_yield_analysis(
         workers: worker processes (1 = serial, None = all CPUs); the
             pool fans out die chunks.
         progress: progress callback (per die chunk).
-        mp_context: multiprocessing start method override.
     """
     config = config or AdcConfig.paper_default()
     spec = spec or YieldSpec()
@@ -505,7 +503,7 @@ def run_yield_analysis(
         raise ConfigurationError(
             f"die_chunk must be >= 1 or None, got {die_chunk}"
         )
-    runner = BatchRunner(workers=workers, progress=progress, mp_context=mp_context)
+    runner = BatchRunner(workers=workers, progress=progress)
     if die_chunk is None:
         per_worker = -(-n_dies // runner.resolve_workers(n_dies))
         die_chunk = max(1, min(per_worker, _DEFAULT_DIE_CHUNK))

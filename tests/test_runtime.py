@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ModelDomainError
 from repro.evaluation.sweeps import sweep
+from repro.runtime import blas
 from repro.runtime.batch import (
     BatchRunner,
     default_metrics,
@@ -64,6 +65,21 @@ def _raise_stubborn(x):
     if x > 2.5:
         raise StubbornError("beyond the wall", code=7)
     return x + 1.0
+
+
+def _blas_threads_in_task(x):
+    return blas.blas_threads()
+
+
+@pytest.fixture
+def openblas():
+    """The loaded OpenBLAS's thread control; the caller's count survives."""
+    library = blas.blas_library()
+    if library is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with thread control")
+    original = library.get_threads()
+    yield library
+    library.set_threads(original)
 
 
 class TestSeeding:
@@ -162,6 +178,47 @@ class TestBatchRunner:
         assert [t["value"] for t in document["tasks"]] == [2, 4, 6]
 
 
+class TestBlasThreads:
+    """Every batch task runs with one BLAS thread."""
+
+    def test_pool_workers_run_one_blas_thread(self, openblas):
+        batch = BatchRunner(workers=2, chunk_size=1).run(
+            _blas_threads_in_task, range(8)
+        )
+        assert not batch.failures
+        assert batch.values == [1] * 8
+
+    def test_serial_batch_pins_then_restores(self, openblas):
+        openblas.set_threads(2)
+        assert blas.blas_threads() == 2
+        batch = BatchRunner(workers=1).run(_blas_threads_in_task, range(3))
+        assert batch.values == [1, 1, 1]
+        assert blas.blas_threads() == 2
+
+    def test_serial_batch_restores_when_the_caller_raises(self, openblas):
+        def interrupt(progress):
+            raise KeyboardInterrupt
+
+        openblas.set_threads(2)
+        with pytest.raises(KeyboardInterrupt):
+            BatchRunner(workers=1, progress=interrupt).run(_double, range(3))
+        assert blas.blas_threads() == 2
+
+    def test_no_openblas_runs_unpinned(self, monkeypatch):
+        monkeypatch.setattr(blas, "_find_openblas", lambda: None)
+        blas.blas_library.cache_clear()
+        try:
+            assert blas.blas_name() == blas.UNPINNED
+            assert blas.blas_threads() is None
+            assert blas.pin_blas_threads() is None
+            serial = BatchRunner(workers=1).run(_blas_threads_in_task, range(2))
+            assert serial.values == [None, None]
+            pooled = BatchRunner(workers=2).run(_double, range(4))
+            assert pooled.values == [0, 2, 4, 6]
+        finally:
+            blas.blas_library.cache_clear()
+
+
 class TestMetricHelpers:
     def test_default_metrics_from_mapping(self):
         assert default_metrics({"a": 1, "b": 2.5, "note": "x"}) == {
@@ -252,18 +309,21 @@ class TestMonteCarloRuntime:
         assert metrics.dnl_peak_lsb == legacy_dnl
 
     def test_workers_do_not_change_metrics(self, paper_config):
-        """ISSUE acceptance: per-die metrics are bit-identical for any
-        worker count and chunking of the same seeded run."""
-        kwargs = dict(
-            n_dies=4,
-            seed=99,
-            config=paper_config,
-            n_fft=1024,
-        )
-        serial = run_yield_analysis(workers=1, **kwargs)
-        pooled = run_yield_analysis(workers=2, die_chunk=1, **kwargs)
-        assert serial.dies == pooled.dies
-        assert serial.yield_fraction == pooled.yield_fraction
+        """Per-die metrics are bit-identical for any worker count and
+        chunking of the same seeded run, calibrated (BLAS fits in
+        one-thread pool workers) or not."""
+        for calibrate in (False, True):
+            kwargs = dict(
+                n_dies=4,
+                seed=99,
+                config=paper_config,
+                n_fft=1024,
+                calibrate=calibrate,
+            )
+            serial = run_yield_analysis(workers=1, **kwargs)
+            pooled = run_yield_analysis(workers=2, die_chunk=1, **kwargs)
+            assert serial.dies == pooled.dies, calibrate
+            assert serial.yield_fraction == pooled.yield_fraction
 
     def test_report_document_and_render(self, paper_config):
         report = run_yield_analysis(
