@@ -1,15 +1,16 @@
 """Checker 3 — campaign fingerprint coverage (``FPR*``).
 
-A resumable ledger is only safe if the fingerprint in its header
-really covers everything that can change a measured bit
-(docs/architecture.md invariant 4).  The fingerprint serializes the
-whole :class:`AdcConfig`, minus an explicit exclusion registry — the
-``per_die_record_threshold`` precedent: a pure execution heuristic that
-must *not* invalidate ledgers.  The failure mode this checker guards
-against is silent: someone adds a config field, never decides its
-ledger semantics, and either stale ledgers resume against changed
-physics (missing from the fingerprint) or harmless heuristics
-invalidate every ledger in the fleet (wrongly included).
+The cell store keys every cell by the campaign fingerprint, so serving
+a stored cell is only safe if the fingerprint really covers everything
+that can change a measured bit (docs/architecture.md invariant 4).  The
+fingerprint serializes the whole :class:`AdcConfig`, minus an explicit
+exclusion registry — the ``per_die_record_threshold`` precedent: a pure
+execution heuristic that must *not* change store keys.  The failure
+mode this checker guards against is silent: someone adds a config
+field, never decides its fingerprint semantics, and either stale store
+entries are served against changed physics (missing from the
+fingerprint) or harmless heuristics orphan every entry in the store
+(wrongly included).
 
 The registries live next to the dataclass in
 ``src/repro/core/config.py``:
@@ -22,7 +23,7 @@ Rules:
 
 * ``FPR001`` — a registry is missing or unparseable.
 * ``FPR002`` — an ``AdcConfig`` field appears in neither registry
-  (the "decide its ledger semantics" error).
+  (the "decide its fingerprint semantics" error).
 * ``FPR003`` — a registry entry names no existing field (stale).
 * ``FPR004`` — a field appears in both registries.
 * ``FPR005`` — an exclusion has no justification string.
@@ -180,7 +181,7 @@ def check(project: Project) -> Iterator[Finding]:
                 "FPR004",
                 CONFIG_CLASS,
                 f"field '{name}' is both fingerprinted and excluded",
-                "a field has exactly one ledger semantic",
+                "a field has exactly one fingerprint semantic",
             )
         elif not in_included and not in_excluded:
             yield _finding(
@@ -188,7 +189,7 @@ def check(project: Project) -> Iterator[Finding]:
                 node,
                 "FPR002",
                 CONFIG_CLASS,
-                f"field '{name}' has undecided ledger semantics",
+                f"field '{name}' has undecided fingerprint semantics",
                 f"add it to {INCLUDED_NAME} (it can change measured "
                 f"bits) or to {EXCLUDED_NAME} with a justification",
             )

@@ -8,12 +8,12 @@ Usage::
     repro all --workers 4
     repro mc --dies 16 --workers 4 --json out.json
     repro mc --dies 32 --die-chunk 4 --calibrate
-    repro campaign --dies 16 --ledger signoff.jsonl
-    repro campaign --dies 16 --ledger signoff.jsonl --resume
+    repro campaign --dies 16 --cell-store cells/
+    repro campaign --dies 16 --cell-store cells/ --ledger signoff.jsonl
     repro campaign --dies 16 --shard 0/2 --cell-store cells/
     repro campaign --dies 16 --shard 1/2 --cell-store cells/
     repro campaign --dies 16 --cell-store cells/ --json signoff.json
-    repro campaign --dies 16 --cell-range 3:9 --ledger gap.jsonl
+    repro campaign --dies 16 --cell-range 3:9 --cell-store cells/
     repro campaign-dispatch --dies 16 --shards 4 --work-dir dispatch/
     repro cell-store stats cells/
     repro cell-store verify cells/ --fix
@@ -342,8 +342,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "'exact' is bit-exact per cell; 'fast' runs the stage "
             "chain in float32 with fused noise draws — statistically "
-            "equivalent metrics, faster; part of the ledger "
-            "fingerprint (default exact)"
+            "equivalent metrics, faster; part of the campaign "
+            "fingerprint the cell store keys by (default exact)"
         ),
     )
 
@@ -385,9 +385,10 @@ def build_campaign_parser() -> argparse.ArgumentParser:
             "Corner-batched PVT sign-off campaign: every requested "
             "process corner x temperature x die is one grid cell, "
             "measured dynamically (SNR/SNDR/SFDR/ENOB) and rolled up "
-            "into a min/typ/max sign-off datasheet.  Completed cells "
-            "checkpoint to a JSONL run ledger, so an interrupted "
-            "campaign resumes without recomputation (--ledger/--resume)."
+            "into a min/typ/max sign-off datasheet.  With --cell-store, "
+            "completed cells checkpoint to the store as they finish, "
+            "so re-running an interrupted campaign over the same store "
+            "resumes it without recomputation."
         ),
     )
     _add_spec_arguments(parser)
@@ -415,16 +416,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "JSONL run ledger; completed cells append as they finish "
-            "(checkpointing)"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "reuse completed cells from an existing --ledger "
-            "(fingerprint-checked) instead of starting fresh"
+            "export the run's cells to PATH as a JSONL ledger once it "
+            "ends (an export, not a checkpoint: resume needs "
+            "--cell-store)"
         ),
     )
     parser.add_argument(
@@ -464,9 +458,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--no-fsync",
         action="store_true",
         help=(
-            "skip fsync on ledger appends and cell-store writes "
-            "(faster; a power loss may drop flushed batches and "
-            "store entries)"
+            "skip fsync on cell-store writes and the --ledger export "
+            "(faster; a power loss may drop store entries or the "
+            "export)"
         ),
     )
     parser.add_argument(
@@ -638,8 +632,6 @@ def run_lint_cli(argv: Sequence[str] | None = None) -> int:
 def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
     """Run the ``campaign`` subcommand; returns a process exit code."""
     args = build_campaign_parser().parse_args(argv)
-    if args.resume and args.ledger is None:
-        raise ReproError("--resume needs --ledger")
     spec = _spec_from_args(args)
     if args.shard is not None and args.cell_range is not None:
         raise ReproError("--shard and --cell-range are mutually exclusive")
@@ -651,7 +643,6 @@ def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
     report = run_campaign(
         spec,
         ledger_path=args.ledger,
-        resume=args.resume,
         cell_chunk=args.cell_chunk,
         workers=args.workers,
         progress=_stderr_progress if args.progress else None,
@@ -807,7 +798,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "skip fsync on the shards' cell-store writes and the "
-            "--out-ledger (faster, weaker durability)"
+            "--out-ledger export (faster, weaker durability)"
         ),
     )
     parser.add_argument(
@@ -816,8 +807,9 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "also export the grid's cells as a whole-grid ledger "
-            "(resumable by the unsharded campaign)"
+            "also export the grid's cells as a whole-grid JSONL "
+            "ledger once the dispatch ends (header only when no cell "
+            "completed)"
         ),
     )
     parser.add_argument(

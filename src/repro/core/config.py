@@ -450,10 +450,10 @@ class AdcConfig:
 #
 # Every AdcConfig field must appear in exactly one of the two registries
 # below; ``repro lint`` (the fingerprint-coverage checker) enforces it.
-# Adding a config field therefore forces a decision about its ledger
-# semantics: a field in FINGERPRINT_FIELDS invalidates existing campaign
-# ledgers when it changes (it can change measured bits); a field in
-# FINGERPRINT_EXCLUDED never can, and says why.
+# Adding a config field therefore forces a decision about its fingerprint
+# semantics: a field in FINGERPRINT_FIELDS changes the cell-store keys
+# of a campaign when it changes (it can change measured bits); a field
+# in FINGERPRINT_EXCLUDED never can, and says why.
 
 #: Fields serialized into :meth:`CampaignSpec.fingerprint
 #: <repro.runtime.campaign.CampaignSpec.fingerprint>`.
@@ -506,6 +506,6 @@ FINGERPRINT_FIELDS = (
 FINGERPRINT_EXCLUDED = {
     "per_die_record_threshold": (
         "pure throughput heuristic: both sides of the per-die-row "
-        "switch are bit-exact, so it must not invalidate ledgers"
+        "switch are bit-exact, so it must not change cell-store keys"
     ),
 }

@@ -130,9 +130,9 @@ def run_pvt_signoff(quick: bool = False) -> ExperimentResult:
         notes=(
             "Extension: the paper reports one die at nominal "
             "conditions; an IP vendor signs off the full grid.",
-            "Resumable: `repro campaign --ledger run.jsonl` checkpoints "
-            "completed cells and `--resume` continues an interrupted "
-            "run without recomputation.",
+            "Resumable: `repro campaign --cell-store cells/` checkpoints "
+            "completed cells; re-running the same command continues an "
+            "interrupted run without recomputation.",
         ),
     )
 

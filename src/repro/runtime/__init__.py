@@ -11,8 +11,12 @@ The runtime is the scaling layer every fan-out workload goes through:
 * :mod:`repro.runtime.montecarlo` — the Monte Carlo yield workload
   (die measurement tasks, yield reports) built on the runner.
 * :mod:`repro.runtime.campaign` — corner-batched PVT sign-off
-  campaigns with resumable JSONL run ledgers, built on the runner and
-  the die-batched :class:`~repro.core.adc_array.AdcArray`.
+  campaigns, built on the runner and the die-batched
+  :class:`~repro.core.adc_array.AdcArray`; the content-addressed
+  :mod:`repro.runtime.cell_store` is their checkpoint (an interrupted
+  campaign re-run over its store computes only the gaps) and
+  :func:`export_ledger` writes a finished run's cells as a JSONL
+  ledger.
 * :mod:`repro.runtime.profiling` — opt-in per-stage wall-time
   instrumentation (the ``repro profile`` workloads and reports; the
   timing primitive itself lives in the leaf :mod:`repro.profiling`).
@@ -26,10 +30,10 @@ from repro.runtime.batch import (
 )
 from repro.runtime.campaign import (
     CampaignCell,
-    CampaignLedger,
     CampaignReport,
     CampaignSpec,
     CellMetrics,
+    export_ledger,
     run_campaign,
 )
 from repro.runtime.montecarlo import (
@@ -52,7 +56,6 @@ __all__ = [
     "BatchResult",
     "BatchRunner",
     "CampaignCell",
-    "CampaignLedger",
     "CampaignReport",
     "CampaignSpec",
     "CellMetrics",
@@ -63,6 +66,7 @@ __all__ = [
     "YieldReport",
     "YieldSpec",
     "derive_seeds",
+    "export_ledger",
     "profile_step",
     "profile_workload",
     "profiled",

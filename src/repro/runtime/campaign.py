@@ -1,4 +1,4 @@
-"""Corner-batched PVT sign-off campaigns with resumable run ledgers.
+"""Corner-batched PVT sign-off campaigns, checkpointed in the cell store.
 
 An IP-block sign-off is a grid: every process corner x every
 temperature extreme x a die population, each cell a full dynamic
@@ -20,10 +20,12 @@ a first-class batch workload:
   (:class:`repro.streams.DieStreams`), so a cell's codes are bit-exact
   with the serial :class:`~repro.evaluation.testbench.DynamicTestbench`
   on the same (point, seed), regardless of chunking or worker count.
-* **Checkpointing** — completed cells append to a JSONL run ledger as
-  they finish; an interrupted campaign resumes from the ledger and
-  recomputes nothing, and the resumed report is identical to a
-  straight-through run.
+* **Checkpointing** — completed cells go to the content-addressed cell
+  store (:mod:`repro.runtime.cell_store`) as each chunk finishes;
+  re-running an interrupted campaign over the same store recomputes
+  nothing already stored, and its report is identical to a
+  straight-through run.  A JSONL ledger (:func:`export_ledger`) is a
+  one-shot export of a finished run's cells, never read back.
 * **Aggregation** — the grid collapses to a min/typ/max sign-off
   datasheet via :func:`repro.evaluation.datasheet.signoff_datasheet`.
 """
@@ -79,8 +81,8 @@ class CampaignSpec:
 
     A spec fully determines the campaign's cells (:meth:`cells`, in the
     shared :func:`~repro.technology.corners.pvt_grid` order) and its
-    resume identity (:meth:`fingerprint` — what a ledger must match to
-    be reused).  Execution choices — chunking, workers — live outside
+    physics identity (:meth:`fingerprint` — what the cell store keys
+    cells by).  Execution choices — chunking, workers — live outside
     the spec because they cannot change any cell's metrics.  Under
     ``repro profile`` a cell chunk's measurement appears as a
     ``task/measure-cell-chunk`` entry.
@@ -102,8 +104,8 @@ class CampaignSpec:
         precision: ``"exact"`` (default; cell metrics bit-exact with
             :class:`~repro.evaluation.testbench.DynamicTestbench`) or
             ``"fast"`` — the float32 + fused-draw tier.  Part of the
-            fingerprint: a fast ledger never resumes an exact campaign
-            or vice versa.
+            fingerprint: fast cells never share store entries with
+            exact ones.
     """
 
     corners: tuple[Corner, ...] = tuple(Corner)
@@ -192,12 +194,12 @@ class CampaignSpec:
     def fingerprint(self, config: AdcConfig) -> dict:
         """Everything that determines a cell's metrics, JSON-ready.
 
-        The ledger stores this so a resume against a different grid,
-        bench setting or converter configuration is rejected instead of
-        silently mixing incompatible cells.  Chunking and worker count
-        are deliberately absent — they do not change the
-        results, so a campaign may resume on a different execution
-        configuration.
+        The cell store keys cells by it (and a ledger export carries it
+        in its header), so a campaign with a different grid, bench
+        setting or converter configuration never reuses incompatible
+        cells.  Chunking and worker count are deliberately absent —
+        they do not change the results, so a campaign may resume on a
+        different execution configuration.
         """
         spec = dataclasses.asdict(self)
         spec["die_seeds"] = list(self.resolved_die_seeds())
@@ -327,22 +329,8 @@ class CellMetrics:
         }
 
     def to_record(self) -> dict:
-        """JSON-ready ledger record."""
+        """JSON-ready record (a ledger line, a report's ``cells`` entry)."""
         return json_safe(dataclasses.asdict(self))
-
-    @classmethod
-    def from_record(cls, record: dict) -> "CellMetrics":
-        return cls(
-            index=int(record["index"]),
-            corner=str(record["corner"]),
-            temperature_c=float(record["temperature_c"]),
-            die_index=int(record["die_index"]),
-            seed=int(record["seed"]),
-            snr_db=float(record["snr_db"]),
-            sndr_db=float(record["sndr_db"]),
-            sfdr_db=float(record["sfdr_db"]),
-            enob_bits=float(record["enob_bits"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -407,241 +395,61 @@ def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
     )
 
 
-def fingerprint_n_cells(fingerprint: dict) -> int:
-    """The grid size a campaign fingerprint describes.
+def write_atomic(path: Path, text: str, fsync: bool = True) -> None:
+    """Replace ``path`` with ``text`` in one atomic step.
 
-    Raises:
-        ConfigurationError: when the fingerprint does not carry a
-            recognizable campaign spec.
+    Creates the parent directory, writes a pid-suffixed temp file
+    beside ``path`` and ``os.replace``s it over ``path``, so a reader
+    sees the old file or the new one, never a torn mix.  With ``fsync``
+    the temp file is fsynced before the replace and the directory after
+    it, so a file that is visible survives a power loss.
     """
-    try:
-        spec = fingerprint["spec"]
-        return (
-            len(spec["corners"])
-            * len(spec["temperatures_c"])
-            * int(spec["n_dies"])
-        )
-    except (KeyError, TypeError, ValueError):
-        raise ConfigurationError(
-            "fingerprint does not describe a campaign grid "
-            "(missing corners/temperatures_c/n_dies)"
-        ) from None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "w") as handle:
+        handle.write(text)
+        if fsync:
+            handle.flush()
+            os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    if fsync:
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
-@dataclass(frozen=True)
-class LedgerContents:
-    """One parsed, validated ledger: header fields plus the records.
-
-    Attributes:
-        fingerprint: the campaign fingerprint from the header.
-        cell_range: the shard's ``[start, stop)`` cell range, or None
-            for an unsharded (whole-grid) ledger.
-        records: completed cells by grid index.
-    """
-
-    fingerprint: dict
-    cell_range: tuple[int, int] | None
-    records: dict[int, CellMetrics]
-
-
-def _format_range(cell_range: tuple[int, int] | None) -> str:
-    if cell_range is None:
-        return "the whole grid"
-    return f"cells [{cell_range[0]}, {cell_range[1]})"
-
-
-class CampaignLedger:
-    """JSONL checkpoint file of completed campaign cells.
+def export_ledger(
+    path: str | Path,
+    fingerprint: dict,
+    cells: Iterable[CellMetrics],
+    cell_range: tuple[int, int] | None = None,
+    fsync: bool = True,
+) -> None:
+    """Export completed cells as a JSONL campaign ledger, written once.
 
     Line 1 is a header carrying the schema tag, the campaign
-    fingerprint and — for sharded runs — the shard's cell range; every
-    further line is one completed cell's record.  Appends are flushed
-    *and fsynced* per batch (constructor ``fsync=False`` opts out and
-    weakens the guarantee to the OS page cache), so a killed campaign
-    loses at most the append batch in flight — and a truncated trailing
-    line is tolerated on load (the cell simply re-runs).
-
-    Loading validates every record: cell indices outside the campaign's
-    range and duplicate indices raise
-    :class:`~repro.errors.ConfigurationError` with the offending line
-    number instead of silently corrupting the resumed report.
+    fingerprint (:meth:`CampaignSpec.fingerprint`) and — for a run over
+    a cell range — that range as ``shard``; every further line is one
+    cell's record, in the order given.  The ledger is an export for
+    outside readers, not a checkpoint: the cell store is what an
+    interrupted campaign resumes from.  The file is written through
+    :func:`write_atomic`, so an export with no cells still leaves its
+    header.
     """
-
-    def __init__(self, path: str | Path, fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = fsync
-
-    def exists(self) -> bool:
-        return self.path.exists()
-
-    def start(
-        self,
-        fingerprint: dict,
-        cell_range: tuple[int, int] | None = None,
-    ) -> None:
-        """Begin a fresh ledger (truncates any previous run).
-
-        Args:
-            fingerprint: the campaign fingerprint
-                (:meth:`CampaignSpec.fingerprint`) — for a shard, the
-                *parent* campaign's fingerprint, shared by every shard
-                of the grid.
-            cell_range: the shard's ``[start, stop)`` cell range; None
-                for a whole-grid ledger.
-        """
-        header: dict = {
-            "schema": CAMPAIGN_LEDGER_SCHEMA,
-            "fingerprint": fingerprint,
+    header: dict = {
+        "schema": CAMPAIGN_LEDGER_SCHEMA,
+        "fingerprint": fingerprint,
+    }
+    if cell_range is not None:
+        header["shard"] = {
+            "start": int(cell_range[0]),
+            "stop": int(cell_range[1]),
         }
-        if cell_range is not None:
-            header["shard"] = {
-                "start": int(cell_range[0]),
-                "stop": int(cell_range[1]),
-            }
-        with self.path.open("w") as handle:
-            handle.write(json.dumps(header) + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-
-    def read(self) -> LedgerContents:
-        """Parse and validate the ledger without a fingerprint to match.
-
-        :meth:`load` builds on it, adding the fingerprint and
-        shard-range checks a resume needs.
-
-        Raises:
-            ConfigurationError: empty file, unreadable header, foreign
-                schema, an invalid shard range, a cell index outside
-                the valid range, a duplicate cell index, or corruption
-                that is not a torn tail.
-        """
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            raise ConfigurationError(f"ledger {self.path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"ledger {self.path} has an unreadable header: {error}"
-            ) from None
-        if header.get("schema") != CAMPAIGN_LEDGER_SCHEMA:
-            raise ConfigurationError(
-                f"ledger {self.path} has schema "
-                f"{header.get('schema')!r}, expected "
-                f"{CAMPAIGN_LEDGER_SCHEMA!r}"
-            )
-        fingerprint = header.get("fingerprint")
-        if not isinstance(fingerprint, dict):
-            raise ConfigurationError(
-                f"ledger {self.path} header carries no fingerprint"
-            )
-        n_cells = fingerprint_n_cells(fingerprint)
-        cell_range = None
-        shard = header.get("shard")
-        if shard is not None:
-            try:
-                cell_range = (int(shard["start"]), int(shard["stop"]))
-            except (KeyError, TypeError, ValueError):
-                raise ConfigurationError(
-                    f"ledger {self.path} has an unreadable shard header: "
-                    f"{shard!r}"
-                ) from None
-            low, high = cell_range
-            if not 0 <= low < high <= n_cells:
-                raise ConfigurationError(
-                    f"ledger {self.path} declares shard cells "
-                    f"[{low}, {high}) outside the campaign grid "
-                    f"[0, {n_cells})"
-                )
-        low, high = cell_range if cell_range is not None else (0, n_cells)
-        # Indices (0-based) of the last line holding any content: only
-        # the trailing run of blank/undecodable lines — the possible
-        # remains of an interrupted append — is torn-tail tolerated.
-        last_content = max(
-            (i for i, line in enumerate(lines) if line.strip()), default=0
-        )
-        records: dict[int, CellMetrics] = {}
-        for position, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                metrics = CellMetrics.from_record(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                if position - 1 == last_content:
-                    # Interrupted mid-append: drop the torn tail (and
-                    # any trailing blank lines after it), the cell
-                    # re-runs on resume.
-                    continue
-                raise ConfigurationError(
-                    f"ledger {self.path} line {position} is corrupt"
-                ) from None
-            if not low <= metrics.index < high:
-                raise ConfigurationError(
-                    f"ledger {self.path} line {position}: cell index "
-                    f"{metrics.index} outside [{low}, {high})"
-                )
-            if metrics.index in records:
-                raise ConfigurationError(
-                    f"ledger {self.path} line {position}: duplicate "
-                    f"cell index {metrics.index}"
-                )
-            records[metrics.index] = metrics
-        return LedgerContents(
-            fingerprint=fingerprint,
-            cell_range=cell_range,
-            records=records,
-        )
-
-    def load(
-        self,
-        fingerprint: dict,
-        cell_range: tuple[int, int] | None = None,
-    ) -> dict[int, CellMetrics]:
-        """Completed cells of a previous run with matching fingerprint.
-
-        Args:
-            fingerprint: the expected campaign fingerprint.
-            cell_range: the expected shard cell range (None for a
-                whole-grid run); a ledger covering a different range is
-                rejected.
-
-        Raises:
-            ConfigurationError: when the ledger belongs to a different
-                campaign (schema or fingerprint mismatch), covers a
-                different cell range, holds invalid records, or the
-                header is unreadable.
-        """
-        contents = self.read()
-        if contents.fingerprint != fingerprint:
-            raise ConfigurationError(
-                f"ledger {self.path} was written by a different campaign "
-                "(grid, bench settings or converter configuration "
-                "differ); refusing to resume"
-            )
-        if contents.cell_range != cell_range:
-            raise ConfigurationError(
-                f"ledger {self.path} covers "
-                f"{_format_range(contents.cell_range)}, expected "
-                f"{_format_range(cell_range)}; refusing to resume"
-            )
-        return contents.records
-
-    def record(self, cells: Iterable[CellMetrics]) -> None:
-        """Append completed cells (one JSON line each, flushed+fsynced).
-
-        With ``fsync`` (the default) the batch is forced to stable
-        storage before returning, so a killed campaign loses at most
-        the batch being written; ``fsync=False`` stops at the OS page
-        cache — faster, but a power loss may drop whole flushed
-        batches.
-        """
-        with self.path.open("a") as handle:
-            for cell in cells:
-                handle.write(json.dumps(cell.to_record()) + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+    lines = [json.dumps(header)]
+    lines.extend(json.dumps(cell.to_record()) for cell in cells)
+    write_atomic(Path(path), "\n".join(lines) + "\n", fsync)
 
 
 @dataclass(frozen=True)
@@ -650,23 +458,20 @@ class CampaignReport:
 
     Attributes:
         spec: the grid and bench settings.
-        cells: completed cells, in grid order (ledger-resumed cells
+        cells: completed cells, in grid order (store-served cells
             merged with freshly measured ones).
         batch: the underlying batch result of the *fresh* cells.
-        resumed_cells: how many cells came from the ledger.
         cell_range: the shard's ``[start, stop)`` cell range; None for
             a whole-grid run.  Completeness is judged against this
             range, so a shard report can be complete without covering
             the grid.
         cached_cells: how many cells came from the content-addressed
-            cell store (a subset of neither ``resumed_cells`` nor the
-            fresh batch).
+            cell store (disjoint from the fresh batch).
     """
 
     spec: CampaignSpec
     cells: tuple[CellMetrics, ...]
     batch: BatchResult
-    resumed_cells: int = 0
     cell_range: tuple[int, int] | None = None
     cached_cells: int = 0
 
@@ -682,7 +487,8 @@ class CampaignReport:
         (:class:`repro.runtime.dispatcher.CampaignDispatcher`), which
         reunites cells its shards measured into the shared store.  The
         batch is empty (nothing ran here) and every cell counts as
-        resumed; completeness is judged against the whole grid.
+        served from the store; completeness is judged against the whole
+        grid.
         """
         cells = tuple(records[index] for index in sorted(records))
         return cls(
@@ -691,7 +497,7 @@ class CampaignReport:
             batch=BatchResult(
                 outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0
             ),
-            resumed_cells=len(cells),
+            cached_cells=len(cells),
         )
 
     @property
@@ -821,11 +627,6 @@ class CampaignReport:
                 f"INCOMPLETE: {len(missing)} cell(s) missing "
                 f"(indices {listed})"
             )
-        resumed = (
-            f" {self.resumed_cells} cell(s) resumed from ledger,"
-            if self.resumed_cells
-            else ""
-        )
         cached = (
             f" {self.cached_cells} cell(s) from cell store,"
             if self.cached_cells
@@ -841,8 +642,8 @@ class CampaignReport:
             " fast-precision," if self.spec.precision == "fast" else ""
         )
         lines.append(
-            f"campaign:{tier}{shard}{resumed}"
-            f"{cached} {self.batch.workers} worker(s), "
+            f"campaign:{tier}{shard}{cached} {self.batch.workers} "
+            f"worker(s), "
             f"{self.batch.elapsed_s:.2f} s"
         )
         return "\n".join(lines)
@@ -859,7 +660,6 @@ class CampaignReport:
                 else None
             ),
             "missing_cells": list(self.missing_cell_indices()),
-            "resumed_cells": self.resumed_cells,
             "cached_cells": self.cached_cells,
             "n_failures": len(self.batch.failures),
             "elapsed_s": self.batch.elapsed_s,
@@ -895,7 +695,6 @@ def run_campaign(
     spec: CampaignSpec | None = None,
     config: AdcConfig | None = None,
     ledger_path: str | Path | None = None,
-    resume: bool = False,
     cell_chunk: int | None = None,
     workers: int | None = 1,
     progress: ProgressCallback | None = None,
@@ -903,16 +702,14 @@ def run_campaign(
     cell_store: "CellStore | str | Path | None" = None,
     fsync: bool = True,
 ) -> CampaignReport:
-    """Run (or resume) a PVT sign-off campaign.
+    """Run a PVT sign-off campaign (resuming from ``cell_store``).
 
     Args:
         spec: the grid and bench settings (default sign-off grid).
         config: converter configuration (paper default when omitted).
-        ledger_path: JSONL checkpoint file.  Completed cells append as
-            they finish; with ``resume`` an existing ledger's cells are
-            reused instead of recomputed.  Omitted: no checkpointing.
-        resume: reuse a matching existing ledger at ``ledger_path``
-            (fingerprint-checked) instead of starting fresh.
+        ledger_path: export the report's cells there as a JSONL ledger
+            (:func:`export_ledger`) once the run ends.  An export, not
+            a checkpoint: only ``cell_store`` resumes a campaign.
         cell_chunk: cells per batch task, each converted as one
             :class:`~repro.core.adc_array.AdcArray` pass (None splits
             evenly across the workers, bounded by a cache-friendly
@@ -929,17 +726,19 @@ def run_campaign(
             completeness is judged against it.
         cell_store: content-addressed cell-result store (a
             :class:`~repro.runtime.cell_store.CellStore` or its root
-            directory).  Cells whose physics identity — config
-            fingerprint, PVT point, die seed, bench settings — already
-            has an entry are served from the store with zero
-            recomputation; fresh results are written back.
-        fsync: fsync ledger appends and cell-store writes (default);
+            directory) — the campaign's checkpoint.  Cells whose
+            physics identity — config fingerprint, PVT point, die seed,
+            bench settings — already has an entry are served from the
+            store with zero recomputation; fresh results are written
+            back as each chunk finishes, so re-running an interrupted
+            campaign over the same store computes only the gaps.
+        fsync: fsync cell-store writes and the ledger export (default);
             ``False`` trades the power-loss guarantee for speed.
 
     Returns:
         The :class:`CampaignReport`; crashed cells land in
-        ``report.failures`` (and are absent from the ledger, so a
-        resume retries them).
+        ``report.failures`` (and are absent from the store, so a
+        re-run retries them).
     """
     spec = spec or CampaignSpec()
     config = config or AdcConfig.paper_default()
@@ -959,15 +758,6 @@ def run_campaign(
     cells = spec.cells()
     if cell_range is not None:
         cells = cells[cell_range[0] : cell_range[1]]
-    fingerprint = spec.fingerprint(config)
-    ledger: CampaignLedger | None = None
-    completed: dict[int, CellMetrics] = {}
-    if ledger_path is not None:
-        ledger = CampaignLedger(ledger_path, fsync=fsync)
-        if resume and ledger.exists():
-            completed = ledger.load(fingerprint, cell_range)
-        else:
-            ledger.start(fingerprint, cell_range)
     store = None
     cached: dict[int, CellMetrics] = {}
     if cell_store is not None:
@@ -978,37 +768,17 @@ def run_campaign(
             if isinstance(cell_store, CellStore)
             else CellStore(cell_store)
         ).bind(spec, config, fsync=fsync)
-        # Ledger-resumed cells back-fill the store so later campaigns
-        # sharing those cells hit it even without this ledger.
         for cell in cells:
-            metrics = completed.get(cell.index)
-            if metrics is not None:
-                store.put(cell, metrics)
-        for cell in cells:
-            if cell.index in completed:
-                continue
             metrics = store.get(cell)
             if metrics is not None:
                 cached[cell.index] = metrics
-        if ledger is not None and cached:
-            ledger.record(
-                cached[index] for index in sorted(cached)
-            )
-    pending = [
-        cell
-        for cell in cells
-        if cell.index not in completed and cell.index not in cached
-    ]
+    pending = [cell for cell in cells if cell.index not in cached]
 
     def checkpoint(update) -> None:
         outcome = update.latest
-        if outcome is not None and outcome.ok:
-            fresh = outcome.value
-            if ledger is not None:
-                ledger.record(fresh)
-            if store is not None:
-                for metrics in fresh:
-                    store.put(cell_by_index[metrics.index], metrics)
+        if store is not None and outcome is not None and outcome.ok:
+            for metrics in outcome.value:
+                store.put(cell_by_index[metrics.index], metrics)
         if progress is not None:
             progress(update)
 
@@ -1034,16 +804,23 @@ def run_campaign(
             index_of=lambda cell: cell.index,
             seed_of=lambda cell: cell.die_seed,
         )
-    merged = dict(completed)
-    merged.update(cached)
+    merged = dict(cached)
     for outcome in batch.outcomes:
         if outcome.ok:
             merged[outcome.index] = outcome.value
-    return CampaignReport(
+    report = CampaignReport(
         spec=spec,
         cells=tuple(merged[index] for index in sorted(merged)),
         batch=batch,
-        resumed_cells=len(completed),
         cell_range=cell_range,
         cached_cells=len(cached),
     )
+    if ledger_path is not None:
+        export_ledger(
+            ledger_path,
+            spec.fingerprint(config),
+            report.cells,
+            cell_range=cell_range,
+            fsync=fsync,
+        )
+    return report

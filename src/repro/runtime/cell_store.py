@@ -4,7 +4,7 @@ A campaign cell's metrics are a pure function of its physics identity:
 the converter configuration (minus execution heuristics), the PVT
 point, the die seed, and the bench settings — the exact values
 :meth:`~repro.runtime.campaign.CampaignSpec.fingerprint` already
-collects for the ledger.  The store keys each completed cell by the
+collects.  The store keys each completed cell by the
 SHA-256 of that identity, so any later campaign that shares a cell —
 a re-run, a different shard split, a spec iterating on one corner —
 resumes it with zero recomputation, across processes and grid shapes.
@@ -18,7 +18,8 @@ index in a different grid is still the same physics — so ``get``
 rebuilds the record under the requesting campaign's indices.
 
 Entries are one JSON file each under ``root/<key[:2]>/<key>.json``,
-written atomically (temp file + ``os.replace``) and, unless the
+written atomically (temp file + ``os.replace``, via
+:func:`~repro.runtime.campaign.write_atomic`) and, unless the
 campaign opts out of fsync, durably: the temp file is fsynced before
 the replace and the prefix directory after it, so an entry that is
 visible survives a power loss.  Any unreadable, mismatched or
@@ -60,7 +61,12 @@ from pathlib import Path
 from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.profiling import active
-from repro.runtime.campaign import CampaignCell, CampaignSpec, CellMetrics
+from repro.runtime.campaign import (
+    CampaignCell,
+    CampaignSpec,
+    CellMetrics,
+    write_atomic,
+)
 from repro.schemas import CELL_STORE_REPORT_SCHEMA, CELL_STORE_SCHEMA
 
 #: Spec fields that shape a single cell's measurement (the bench
@@ -237,7 +243,7 @@ class CellStore:
         """The store scoped to one campaign's config and bench settings.
 
         Binding precomputes the key payload shared by every cell of the
-        campaign from the same fingerprint the ledger uses, so per-cell
+        campaign from the campaign's fingerprint, so per-cell
         lookups hash only the cell-varying part on top.  ``fsync``
         makes every :meth:`BoundCellStore.put` durable (the default);
         ``False`` stops at the OS page cache.
@@ -570,23 +576,10 @@ class BoundCellStore:
                 field: getattr(metrics, field) for field in _METRIC_FIELDS
             },
         }
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         payload = json.dumps(entry, sort_keys=True) + "\n"
         for attempt in range(2):
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                with open(tmp, "w") as handle:
-                    handle.write(payload)
-                    if self.fsync:
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                os.replace(tmp, path)
-                if self.fsync:
-                    directory = os.open(path.parent, os.O_RDONLY)
-                    try:
-                        os.fsync(directory)
-                    finally:
-                        os.close(directory)
+                write_atomic(path, payload, self.fsync)
             except FileNotFoundError:
                 # A concurrent prune rmdir'ed the prefix directory
                 # between mkdir and write/replace; retry once.

@@ -62,10 +62,10 @@ from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.profiling import active
 from repro.runtime.campaign import (
-    CampaignLedger,
     CampaignReport,
     CampaignSpec,
     CellMetrics,
+    export_ledger,
 )
 from repro.runtime.cell_store import CellStore
 from repro.runtime.shards import coalesce_cell_ranges
@@ -302,7 +302,9 @@ class CampaignDispatcher:
         fsync: the shards' cell-store fsync policy (also used for
             ``out_ledger``).
         out_ledger: when given, export the projected cells as a
-            whole-grid ledger there after the loop ends.
+            whole-grid ledger there after the loop ends
+            (:func:`~repro.runtime.campaign.export_ledger`) — a
+            header-only file when no cell completed.
         fault_kill: ``(range_position, after_cells)`` — SIGKILL the
             first-round shard at that launch position once the store
             holds ``after_cells`` of its range's cells (and, so the
@@ -546,10 +548,13 @@ class CampaignDispatcher:
             records = self._gather()
         missing = self._missing(records)
         report = CampaignReport.from_records(self.spec, records)
-        if self.out_ledger is not None and records:
-            ledger = CampaignLedger(self.out_ledger, fsync=self.fsync)
-            ledger.start(self._fingerprint)
-            ledger.record(records[index] for index in sorted(records))
+        if self.out_ledger is not None:
+            export_ledger(
+                self.out_ledger,
+                self._fingerprint,
+                report.cells,
+                fsync=self.fsync,
+            )
         return DispatchReport(
             spec=self.spec,
             shards=self.shards,

@@ -67,8 +67,8 @@ def run_campaign_shard(
 ) -> CampaignReport:
     """Run one shard — :func:`run_campaign` over the shard's cell range.
 
-    All :func:`run_campaign` keyword arguments pass through (ledger,
-    resume, cell chunk, workers, cell store, ...).  The returned report
+    All :func:`run_campaign` keyword arguments pass through (cell
+    store, ledger export, cell chunk, workers, ...).  The returned report
     covers only the shard's cells; run the whole grid over the shared
     cell store for the campaign-wide report.
     """

@@ -3,7 +3,7 @@
 Every JSON document the package emits — batch results, campaign
 ledgers, profile reports, benchmark artifacts, lint reports — carries a
 ``"schema"`` field so downstream consumers (CI artifact readers, the
-resume path, the bench-history trend renderer) can detect format drift.
+cell store, the bench-history trend renderer) can detect format drift.
 Each tag is the string ``repro.<family>/v<N>``; bumping ``N`` is the
 contract for a breaking document change.
 
@@ -25,11 +25,13 @@ from __future__ import annotations
 #: (``repro mc --json``, experiment batches).
 BATCH_RESULT_SCHEMA = "repro.batch-result/v1"
 
-#: JSONL run ledgers and campaign reports
+#: JSONL ledger exports and campaign reports
 #: (:mod:`repro.runtime.campaign`).  v2 added the optional ``shard``
-#: header (a campaign's cell range, for sharded runs), cell-index
-#: validation on load, and the report's shard/cache fields.
-CAMPAIGN_LEDGER_SCHEMA = "repro.campaign-ledger/v2"
+#: header (a campaign's cell range) and the report's shard/cache
+#: fields.  v3: the ledger is an export only, never read back (the
+#: cell store is the checkpoint); its header and record lines are
+#: unchanged, and the report document lost ``resumed_cells``.
+CAMPAIGN_LEDGER_SCHEMA = "repro.campaign-ledger/v3"
 
 #: Content-addressed cell-result store entries
 #: (:mod:`repro.runtime.cell_store`): one completed campaign cell,

@@ -182,8 +182,8 @@ class OperatingPointArray:
         """The corners x temperatures cross product, corner-major.
 
         Row ``p * len(temperatures) + t`` is corner *p* at temperature
-        *t* — the cell order every campaign consumer (ledger, sign-off
-        tables) relies on.
+        *t* — the cell order every campaign consumer (ledger export,
+        sign-off tables) relies on.
         """
         return cls(
             pvt_grid(

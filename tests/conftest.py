@@ -6,6 +6,9 @@ many tests that inspect them share one simulation.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,17 @@ def nominal_capture(paper_adc):
 @pytest.fixture(scope="session")
 def nominal_metrics(nominal_capture):
     return SpectrumAnalyzer().analyze(nominal_capture.codes, 110e6)
+
+
+def _read_ledger(path: Path) -> tuple[dict, list[dict]]:
+    lines = Path(path).read_text().splitlines()
+    return json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+
+
+@pytest.fixture(scope="session")
+def read_ledger():
+    """Parse a ledger export into its ``(header, records)``."""
+    return _read_ledger
 
 
 @pytest.fixture()

@@ -7,9 +7,9 @@ The load-bearing contracts:
   :class:`DynamicTestbench` on the same operating point and die seed,
   regardless of cell chunking and worker count (the chunk x worker
   matrix lives in ``tests/test_chunk_equivalence.py``).
-* **Resume determinism** — a campaign interrupted mid-grid and resumed
-  from its ledger produces the identical sign-off report to a
-  straight-through run, recomputing nothing already checkpointed.
+* **Resume determinism** — a campaign interrupted mid-grid and re-run
+  over the cell store it filled produces the identical sign-off report
+  to a straight-through run, recomputing nothing already checkpointed.
 """
 
 import json
@@ -18,12 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.adc_array import AdcArray
-from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.evaluation.testbench import DynamicTestbench
 from repro.runtime.campaign import (
     CAMPAIGN_LEDGER_SCHEMA,
-    CampaignLedger,
     CampaignSpec,
     run_campaign,
 )
@@ -206,7 +204,7 @@ class TestCornerBatchedEquivalence:
 
 
 class TestLedgerResume:
-    """ISSUE acceptance: interrupt mid-grid, resume, identical report."""
+    """Interrupt mid-grid, re-run over the store, identical report."""
 
     @staticmethod
     def _tables(report):
@@ -220,7 +218,7 @@ class TestLedgerResume:
     def test_resume_after_interrupt_is_identical(
         self, small_spec, campaign_report, tmp_path
     ):
-        ledger = tmp_path / "run.jsonl"
+        store = tmp_path / "cells"
 
         class Interrupt(Exception):
             pass
@@ -237,32 +235,31 @@ class TestLedgerResume:
             run_campaign(
                 small_spec,
                 cell_chunk=2,
-                ledger_path=ledger,
+                cell_store=store,
                 progress=bomb,
             )
-        checkpointed = len(ledger.read_text().splitlines()) - 1
+        checkpointed = len(list(store.rglob("*.json")))
         assert 0 < checkpointed < small_spec.n_cells
 
         resumed = run_campaign(
             small_spec,
             cell_chunk=3,  # different chunking on purpose
-            ledger_path=ledger,
-            resume=True,
+            cell_store=store,
         )
-        assert resumed.resumed_cells == checkpointed
+        assert resumed.cached_cells == checkpointed
         assert resumed.complete
         assert self._tables(resumed) == self._tables(campaign_report)
         # Only the remaining cells were dispatched...
         assert resumed.batch.n_tasks == small_spec.n_cells - checkpointed
-        # ...and the ledger now holds the full grid for the next resume.
-        fully = run_campaign(small_spec, cell_chunk=1, ledger_path=ledger, resume=True)
-        assert fully.resumed_cells == small_spec.n_cells
+        # ...and the store now holds the full grid for the next re-run.
+        fully = run_campaign(small_spec, cell_chunk=1, cell_store=store)
+        assert fully.cached_cells == small_spec.n_cells
         assert fully.batch.n_tasks == 0
         assert self._tables(fully) == self._tables(campaign_report)
 
     def test_partial_resume_merges_by_grid_index(self, small_spec, tmp_path):
-        """A resume merges by grid index, not task position."""
-        ledger = tmp_path / "run.jsonl"
+        """A re-run merges by grid index, not task position."""
+        store = tmp_path / "cells"
 
         class Interrupt(Exception):
             pass
@@ -272,11 +269,10 @@ class TestLedgerResume:
                 raise Interrupt()
 
         with pytest.raises(Interrupt):
-            run_campaign(small_spec, cell_chunk=1, ledger_path=ledger, progress=bomb)
-        resumed = run_campaign(
-            small_spec, cell_chunk=1, ledger_path=ledger, resume=True
-        )
-        assert resumed.resumed_cells == 3
+            run_campaign(small_spec, cell_chunk=1, cell_store=store, progress=bomb)
+        resumed = run_campaign(small_spec, cell_chunk=1, cell_store=store)
+        assert resumed.cached_cells == 3
+        assert resumed.batch.n_tasks == small_spec.n_cells - 3
         assert resumed.complete
         assert [c.index for c in resumed.cells] == list(
             range(small_spec.n_cells)
@@ -288,181 +284,35 @@ class TestLedgerResume:
         assert fresh_indices == set(range(3, small_spec.n_cells))
         assert all(o.seed is not None for o in resumed.batch.outcomes)
 
-    def test_ledger_rejects_mismatched_campaign(
-        self, small_spec, tmp_path
+    def test_fresh_run_truncates_stale_ledger(
+        self, small_spec, paper_config, read_ledger, tmp_path
     ):
+        """Each run replaces the export whole, never appends to it."""
         ledger = tmp_path / "run.jsonl"
         run_campaign(small_spec, ledger_path=ledger)
-        other = CampaignSpec(**{**SMALL, "n_samples": 1024})
-        with pytest.raises(ConfigurationError):
-            run_campaign(other, ledger_path=ledger, resume=True)
-
-    def test_ledger_tolerates_torn_tail(self, small_spec, tmp_path):
-        ledger = tmp_path / "run.jsonl"
-        run_campaign(small_spec, ledger_path=ledger)
-        text = ledger.read_text()
-        ledger.write_text(text + '{"index": 5, "corner"')  # torn write
-        report = run_campaign(small_spec, ledger_path=ledger, resume=True)
-        assert report.complete
-        assert report.resumed_cells == small_spec.n_cells
-
-    def test_ledger_rejects_corrupt_middle(self, small_spec, tmp_path):
-        ledger = tmp_path / "run.jsonl"
-        run_campaign(small_spec, ledger_path=ledger)
-        lines = ledger.read_text().splitlines()
-        lines[2] = "not json"
-        ledger.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError):
-            CampaignLedger(ledger).load(
-                small_spec.fingerprint(AdcConfig.paper_default())
-            )
-
-    def test_fresh_run_truncates_stale_ledger(self, small_spec, tmp_path):
-        ledger = tmp_path / "run.jsonl"
-        run_campaign(small_spec, ledger_path=ledger)
-        report = run_campaign(small_spec, ledger_path=ledger)  # no resume
-        assert report.resumed_cells == 0
-        header = json.loads(ledger.read_text().splitlines()[0])
-        assert header["schema"] == CAMPAIGN_LEDGER_SCHEMA
+        report = run_campaign(small_spec, ledger_path=ledger)
+        header, records = read_ledger(ledger)
+        assert header == {
+            "schema": CAMPAIGN_LEDGER_SCHEMA,
+            "fingerprint": small_spec.fingerprint(paper_config),
+        }
+        assert records == [cell.to_record() for cell in report.cells]
+        assert [path.name for path in tmp_path.iterdir()] == ["run.jsonl"]
 
 
 class TestLedgerValidation:
-    """Adversarial ledgers are rejected, never silently accepted."""
-
-    @pytest.fixture(scope="class")
-    def fingerprint(self, small_spec, paper_config):
-        return small_spec.fingerprint(paper_config)
-
-    @pytest.fixture()
-    def written(self, small_spec, tmp_path):
-        """A completed whole-grid ledger in a fresh tmp dir."""
-        ledger = tmp_path / "run.jsonl"
-        run_campaign(small_spec, ledger_path=ledger)
-        return ledger
-
-    def test_rejects_out_of_range_index(
-        self, written, fingerprint, small_spec
-    ):
-        record = json.loads(written.read_text().splitlines()[1])
-        record["index"] = small_spec.n_cells  # one past the grid
-        lines = written.read_text().splitlines()
-        lines.append(json.dumps(record))
-        written.write_text("\n".join(lines) + "\n")
-        position = len(lines)
-        with pytest.raises(
-            ConfigurationError,
-            match=(
-                rf"line {position}: cell index {small_spec.n_cells} "
-                rf"outside \[0, {small_spec.n_cells}\)"
-            ),
-        ):
-            CampaignLedger(written).load(fingerprint)
-
-    def test_rejects_duplicate_index(self, written, fingerprint):
-        lines = written.read_text().splitlines()
-        lines.append(lines[1])  # replay the first record verbatim
-        written.write_text("\n".join(lines) + "\n")
-        duplicated = json.loads(lines[1])["index"]
-        with pytest.raises(
-            ConfigurationError,
-            match=(
-                rf"line {len(lines)}: duplicate cell index {duplicated}"
-            ),
-        ):
-            CampaignLedger(written).load(fingerprint)
-
-    def test_tolerates_torn_tail_with_trailing_newline(
-        self, written, fingerprint, small_spec
-    ):
-        """A torn record plus trailing blank lines is still a torn tail."""
-        written.write_text(
-            written.read_text() + '{"index": 5, "corner"\n\n\n'
-        )
-        records = CampaignLedger(written).load(fingerprint)
-        assert len(records) == small_spec.n_cells
-
-    def test_rejects_torn_record_mid_file(self, written, fingerprint):
-        lines = written.read_text().splitlines()
-        lines.insert(3, '{"index": 5, "corner"')  # valid records follow
-        written.write_text("\n".join(lines) + "\n")
-        with pytest.raises(
-            ConfigurationError, match="line 4 is corrupt"
-        ):
-            CampaignLedger(written).load(fingerprint)
-
-    def test_rejects_foreign_fingerprint(self, written, paper_config):
-        other = CampaignSpec(**{**SMALL, "n_samples": 1024})
-        with pytest.raises(
-            ConfigurationError, match="different campaign"
-        ):
-            CampaignLedger(written).load(other.fingerprint(paper_config))
-
-    def test_record_fsyncs_each_batch(
-        self, tmp_path, fingerprint, campaign_report, monkeypatch
-    ):
-        import repro.runtime.campaign as campaign_module
-
-        synced = []
-        real_fsync = campaign_module.os.fsync
-
-        def counting_fsync(fd):
-            synced.append(fd)
-            return real_fsync(fd)
-
-        monkeypatch.setattr(campaign_module.os, "fsync", counting_fsync)
-        ledger = CampaignLedger(tmp_path / "synced.jsonl")
-        ledger.start(fingerprint)
-        ledger.record(campaign_report.cells[:2])
-        ledger.record(campaign_report.cells[2:4])
-        assert len(synced) == 3  # header + one per append batch
-
-        synced.clear()
-        lazy = CampaignLedger(tmp_path / "lazy.jsonl", fsync=False)
-        lazy.start(fingerprint)
-        lazy.record(campaign_report.cells[:2])
-        assert synced == []
-        assert len(lazy.load(fingerprint)) == 2
+    """The export holds exactly the report: header, range and records."""
 
     def test_shard_header_roundtrip(
-        self, tmp_path, fingerprint, campaign_report
+        self, small_spec, paper_config, read_ledger, tmp_path
     ):
-        ledger = CampaignLedger(tmp_path / "shard.jsonl")
-        ledger.start(fingerprint, cell_range=(0, 4))
-        ledger.record(campaign_report.cells[:4])
-        contents = ledger.read()
-        assert contents.cell_range == (0, 4)
-        assert sorted(contents.records) == [0, 1, 2, 3]
-        # A resume expecting a different range (or none) is refused.
-        with pytest.raises(
-            ConfigurationError, match="refusing to resume"
-        ):
-            ledger.load(fingerprint)
-        with pytest.raises(
-            ConfigurationError, match="refusing to resume"
-        ):
-            ledger.load(fingerprint, cell_range=(4, 8))
-        assert len(ledger.load(fingerprint, cell_range=(0, 4))) == 4
-
-    def test_rejects_shard_record_outside_declared_range(
-        self, tmp_path, fingerprint, campaign_report
-    ):
-        ledger = CampaignLedger(tmp_path / "shard.jsonl")
-        ledger.start(fingerprint, cell_range=(0, 4))
-        ledger.record((campaign_report.cells[5],))
-        with pytest.raises(
-            ConfigurationError, match=r"cell index 5 outside \[0, 4\)"
-        ):
-            ledger.read()
-
-    def test_rejects_shard_range_outside_grid(
-        self, tmp_path, fingerprint, small_spec
-    ):
-        ledger = CampaignLedger(tmp_path / "shard.jsonl")
-        ledger.start(fingerprint, cell_range=(4, small_spec.n_cells + 1))
-        with pytest.raises(
-            ConfigurationError, match="outside the campaign grid"
-        ):
-            ledger.read()
+        ledger = tmp_path / "nested" / "shard.jsonl"
+        report = run_campaign(small_spec, cell_range=(0, 4), ledger_path=ledger)
+        header, records = read_ledger(ledger)
+        assert header["shard"] == {"start": 0, "stop": 4}
+        assert header["fingerprint"] == small_spec.fingerprint(paper_config)
+        assert [record["index"] for record in records] == [0, 1, 2, 3]
+        assert records == [cell.to_record() for cell in report.cells]
 
 
 class TestReport:
@@ -503,9 +353,9 @@ class TestCampaignCli:
         args = build_campaign_parser().parse_args([])
         assert args.corners == "all"
         assert args.dies == 1
-        assert not args.resume
+        assert args.ledger is None and args.cell_store is None
 
-    def test_cli_run_and_resume(self, capsys, tmp_path):
+    def test_cli_run_and_resume(self, capsys, read_ledger, tmp_path):
         from repro.cli import main
 
         ledger = tmp_path / "run.jsonl"
@@ -522,24 +372,36 @@ class TestCampaignCli:
             "512",
             "--ledger",
             str(ledger),
+            "--cell-store",
+            str(tmp_path / "cells"),
         ]
         assert main(base + ["--json", str(out)]) == 0
         first = capsys.readouterr().out
         assert "PVT campaign" in first
         document = json.loads(out.read_text())
         assert document["n_cells"] == 4
-        assert main(base + ["--resume"]) == 0
+        assert "resumed_cells" not in document
+        assert read_ledger(ledger)[1] == document["cells"]
+        # Re-running the command over the same store is the resume.
+        ledger.unlink()
+        assert main(base) == 0
         second = capsys.readouterr().out
-        assert "4 cell(s) resumed from ledger" in second
+        assert "4 cell(s) from cell store" in second
+        assert read_ledger(ledger)[1] == document["cells"]
+
+    def test_cli_resume_requires_ledger(self, capsys):
+        """There is no --resume, with or without --ledger: it exits 2."""
+        from repro.cli import main
+
+        for extra in ([], ["--ledger", "x.jsonl"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["campaign", *extra, "--resume"])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --resume" in err
 
     def test_cli_rejects_unknown_corner(self, capsys):
         from repro.cli import main
 
         assert main(["campaign", "--corners", "zz"]) == 2
         assert "unknown corner" in capsys.readouterr().err
-
-    def test_cli_resume_requires_ledger(self, capsys):
-        from repro.cli import main
-
-        assert main(["campaign", "--resume"]) == 2
-        assert "--resume needs --ledger" in capsys.readouterr().err

@@ -26,7 +26,11 @@ import pytest
 
 from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
-from repro.runtime.campaign import CampaignLedger, CampaignSpec, run_campaign
+from repro.runtime.campaign import (
+    CAMPAIGN_LEDGER_SCHEMA,
+    CampaignSpec,
+    run_campaign,
+)
 from repro.runtime.cell_store import QUARANTINE_DIR, CellStore
 from repro.runtime.dispatcher import (
     CampaignDispatcher,
@@ -204,11 +208,14 @@ class TestDispatchEndToEnd:
         _, _, report = dispatched
         assert report.report.cells == single_report.cells
 
-    def test_out_ledger_resumable(self, dispatched, small_spec):
+    def test_out_ledger_export(self, dispatched, small_spec, paper_config, read_ledger):
         _, export, report = dispatched
-        resumed = run_campaign(small_spec, ledger_path=export, resume=True)
-        assert resumed.resumed_cells == small_spec.n_cells
-        assert resumed.cells == report.report.cells
+        header, records = read_ledger(export)
+        assert header == {
+            "schema": CAMPAIGN_LEDGER_SCHEMA,
+            "fingerprint": small_spec.fingerprint(paper_config),
+        }
+        assert records == [cell.to_record() for cell in report.report.cells]
 
     def test_store_is_the_only_record(self, dispatched, small_spec):
         work, _, _ = dispatched
@@ -459,7 +466,52 @@ class TestDispatchCli:
         )
         assert code == 1
 
-    def test_campaign_cell_range_flag(self, tmp_path, capsys):
+    def test_exhausted_dispatch_exports_header_only(
+        self, tmp_path, monkeypatch, capsys, read_ledger, paper_config
+    ):
+        """An empty dispatch still writes the export it reports."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_FAULT_KILL_SHARD", "0")
+        export = tmp_path / "work" / "export.jsonl"
+        code = main(
+            [
+                "campaign-dispatch",
+                "--corners",
+                "tt",
+                "--temps",
+                "27",
+                "--dies",
+                "2",
+                "--fft-points",
+                "512",
+                "--shards",
+                "1",
+                "--cell-chunk",
+                "1",
+                "--max-retries",
+                "0",
+                "--poll",
+                "0.01",
+                "--work-dir",
+                str(tmp_path / "work"),
+                "--out-ledger",
+                str(export),
+            ]
+        )
+        assert code == 1
+        assert f"wrote {export}" in capsys.readouterr().out
+        header, records = read_ledger(export)
+        spec = CampaignSpec(
+            corners=(Corner.TT,), temperatures_c=(27.0,), n_dies=2, n_samples=512
+        )
+        assert header == {
+            "schema": CAMPAIGN_LEDGER_SCHEMA,
+            "fingerprint": spec.fingerprint(paper_config),
+        }
+        assert records == []
+
+    def test_campaign_cell_range_flag(self, tmp_path, capsys, read_ledger):
         from repro.cli import main
 
         code = main(
@@ -482,9 +534,9 @@ class TestDispatchCli:
             ]
         )
         assert code == 0
-        contents = CampaignLedger(tmp_path / "range.jsonl").read()
-        assert contents.cell_range == (3, 6)
-        assert sorted(contents.records) == [3, 4, 5]
+        header, records = read_ledger(tmp_path / "range.jsonl")
+        assert header["shard"] == {"start": 3, "stop": 6}
+        assert [record["index"] for record in records] == [3, 4, 5]
 
     def test_cell_range_and_shard_conflict(self, capsys):
         from repro.cli import main
@@ -498,7 +550,7 @@ class TestDispatchCli:
 
 class TestMergeFsync:
     def test_out_ledger_without_fsync(
-        self, small_spec, tmp_path, monkeypatch
+        self, small_spec, tmp_path, monkeypatch, read_ledger
     ):
         for shard in small_spec.shards(2):
             run_campaign(
@@ -518,8 +570,8 @@ class TestMergeFsync:
         ).run()
         assert report.complete
         assert calls == []
-        resumed = run_campaign(small_spec, ledger_path=merged, resume=True)
-        assert resumed.cells == report.report.cells
+        _, records = read_ledger(merged)
+        assert records == [cell.to_record() for cell in report.report.cells]
 
 
 class TestCellStoreHygiene:

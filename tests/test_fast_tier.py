@@ -5,7 +5,7 @@ sampling and opamp draws into one output-referred draw, so it consumes
 different stream values), but every population-level metric must agree
 with the exact tier within documented statistical tolerances.  The
 tier is deterministic for a given seed and part of a campaign's
-fingerprint so fast ledgers never resume exact campaigns.
+fingerprint, so fast cells never hit exact cell-store entries.
 """
 
 import dataclasses

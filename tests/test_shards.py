@@ -110,8 +110,14 @@ class TestShardMerge:
             == single_report.to_dict()["signoff"]
         )
 
-    def test_merged_ledger_resumes_the_unsharded_campaign(
-        self, shard_store, small_spec, single_report, tmp_path
+    def test_out_ledger_exports_the_merged_grid(
+        self,
+        shard_store,
+        small_spec,
+        single_report,
+        paper_config,
+        read_ledger,
+        tmp_path,
     ):
         # A complete store launches nothing; --out-ledger exports it.
         out = tmp_path / "merged.jsonl"
@@ -120,12 +126,11 @@ class TestShardMerge:
         ).run()
         assert dispatch.complete
         assert dispatch.attempts == ()
-        resumed = run_campaign(
-            small_spec, ledger_path=out, resume=True
-        )
-        assert resumed.resumed_cells == small_spec.n_cells
-        assert resumed.batch.n_tasks == 0
-        assert resumed.cells == single_report.cells
+        assert dispatch.report.cached_cells == small_spec.n_cells
+        header, records = read_ledger(out)
+        assert header["fingerprint"] == small_spec.fingerprint(paper_config)
+        assert "shard" not in header
+        assert records == [cell.to_record() for cell in single_report.cells]
 
     def test_gap_reports_missing_cells(
         self, small_spec, single_report, tmp_path
@@ -254,29 +259,41 @@ class TestCellStore:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
-        run_campaign(tiny, cell_store=tmp_path / "durable")
-        # One fsync for each entry file and one for its prefix dir.
-        assert len(calls) == 2 * tiny.n_cells
+        run_campaign(
+            tiny,
+            cell_store=tmp_path / "durable",
+            ledger_path=tmp_path / "durable.jsonl",
+        )
+        # One fsync for each entry file and one for its prefix dir,
+        # plus the same pair for the ledger export.
+        assert len(calls) == 2 * tiny.n_cells + 2
         calls.clear()
-        run_campaign(tiny, cell_store=tmp_path / "fast", fsync=False)
+        run_campaign(
+            tiny,
+            cell_store=tmp_path / "fast",
+            ledger_path=tmp_path / "fast.jsonl",
+            fsync=False,
+        )
         assert calls == []
         assert CellStore(tmp_path / "fast").stats().n_entries == tiny.n_cells
+        durable = (tmp_path / "durable.jsonl").read_text()
+        assert (tmp_path / "fast.jsonl").read_text() == durable
 
-    def test_ledger_resume_backfills_the_store(
-        self, small_spec, tmp_path
+    def test_ledger_export_matches_the_store(
+        self, small_spec, paper_config, read_ledger, tmp_path
     ):
+        """Fresh and store-served cells export the same ledger."""
         ledger = tmp_path / "run.jsonl"
-        run_campaign(small_spec, ledger_path=ledger)
         store = tmp_path / "store"
-        resumed = run_campaign(
-            small_spec,
-            ledger_path=ledger,
-            resume=True,
-            cell_store=store,
-        )
-        assert resumed.resumed_cells == small_spec.n_cells
-        fresh = run_campaign(small_spec, cell_store=store)
-        assert fresh.cached_cells == small_spec.n_cells
+        fresh = run_campaign(small_spec, ledger_path=ledger, cell_store=store)
+        assert fresh.cached_cells == 0
+        exported = ledger.read_text()
+        header, records = read_ledger(ledger)
+        assert header["fingerprint"] == small_spec.fingerprint(paper_config)
+        assert records == [cell.to_record() for cell in fresh.cells]
+        served = run_campaign(small_spec, ledger_path=ledger, cell_store=store)
+        assert served.cached_cells == small_spec.n_cells
+        assert ledger.read_text() == exported
 
     def test_store_composes_with_shards(self, small_spec, tmp_path):
         """Shard 0 warms the store; shard 1's cells still miss."""
