@@ -237,8 +237,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     """The campaign-grid and bench flags (shared by campaign/dispatch).
 
     Everything here maps 1:1 onto a :class:`CampaignSpec` field — see
-    :func:`_spec_from_args` — so the dispatcher can hand any spec to
-    its ``repro campaign`` subprocesses over the command line.
+    :func:`_spec_from_args` — so ``repro campaign --cell-range`` run by
+    hand reproduces any shard of a dispatched grid.
     """
     defaults = CampaignSpec()
     parser.add_argument(
@@ -687,8 +687,9 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         prog="repro campaign-dispatch",
         description=(
             "Run a sharded PVT campaign to completion: plan N shards, "
-            "launch each as a 'repro campaign' subprocess writing into "
-            "one shared cell store, then look every grid cell up in "
+            "launch each as a forked child running run_campaign over a "
+            "cell range, all writing into one shared cell store, then "
+            "look every grid cell up in "
             "the store, coalesce the missing cells into contiguous "
             "ranges and re-dispatch only those ranges — with "
             "exponential deterministic-jitter backoff — until the "
@@ -724,7 +725,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "kill a shard subprocess exceeding this wall time; its "
+            "kill a shard process exceeding this wall time; its "
             "range re-enters the gap pool (default: no timeout)"
         ),
     )
@@ -751,7 +752,10 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.05,
         metavar="SECONDS",
-        help="shard subprocess poll cadence (default 0.05)",
+        help=(
+            "cadence of the fault-hook and timeout checks; a shard's "
+            "exit is seen at once (default 0.05)"
+        ),
     )
     parser.add_argument(
         "--work-dir",
@@ -768,7 +772,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per shard subprocess (default 1)",
+        help="worker processes per shard (default 1)",
     )
     parser.add_argument(
         "--cell-chunk",
@@ -788,7 +792,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "content-addressed cell-result store shared by all shard "
-            "subprocesses: the dispatch record and the unit of "
+            "processes: the dispatch record and the unit of "
             "resume; may be shared with other campaigns "
             "(default: WORK_DIR/cells)"
         ),

@@ -526,9 +526,11 @@ class BatchRunner:
         else:
             # Resolve in the parent: forked workers inherit the cached
             # library instead of each searching for it, a search that
-            # cost every worker about 0.3 MB of peak RSS.
+            # cost every worker about 0.3 MB of peak RSS.  The start
+            # method is named: under spawn or forkserver (the Linux
+            # default from Python 3.14) workers would re-import repro.
             blas_library()
-            with multiprocessing.Pool(
+            with multiprocessing.get_context("fork").Pool(
                 processes=workers, initializer=pin_blas_threads
             ) as pool:
                 for outcome in pool.imap_unordered(

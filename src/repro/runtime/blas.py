@@ -2,7 +2,7 @@
 
 The batch runtime already supplies the parallelism: the worker pool
 fans tasks out across processes and the dispatcher runs shards as
-subprocesses.  NumPy's bundled OpenBLAS would start its own thread pool
+forked child processes.  NumPy's bundled OpenBLAS would start its own thread pool
 in each of them as well — the per-die calibration ``lstsq`` fits and
 ``design @ weights`` products are tall-skinny (N x 14) and gain nothing
 from extra threads, so on a small machine those threads only

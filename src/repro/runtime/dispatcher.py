@@ -3,9 +3,10 @@
 A shard killed mid-run leaves a gap in the grid, and someone has to
 re-run the missing cells.  :class:`CampaignDispatcher` is that someone.
 It plans shards from a :class:`~repro.runtime.campaign.CampaignSpec`,
-launches each as a real ``repro campaign --cell-range --cell-store``
-subprocess writing into one shared content-addressed cell store, then
-loops: project the spec over the store, read the missing cell indices,
+launches each as a forked child running
+:func:`~repro.runtime.campaign.run_campaign` over a cell range, all
+writing into one shared content-addressed cell store, then loops:
+project the spec over the store, read the missing cell indices,
 coalesce them into contiguous ranges
 (:func:`repro.runtime.shards.coalesce_cell_ranges`) and re-dispatch
 *only those ranges* — until the projection is complete or the retry
@@ -14,7 +15,7 @@ budget is exhausted.
 Design rules, in order:
 
 1. **The store is the source of truth.**  The dispatcher never trusts
-   a subprocess's exit code to decide what work remains — a shard that
+   a shard's exit code to decide what work remains — a shard that
    died after completing 5 of 6 cells contributed 5 cells, and only
    the store knows.  Every round looks up every grid cell by key; the
    retry unit is a gap range, not a shard.  A corrupt entry is a gap
@@ -50,12 +51,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from hashlib import sha256
+from multiprocessing.connection import wait
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 from repro.core.config import AdcConfig
@@ -66,6 +69,7 @@ from repro.runtime.campaign import (
     CampaignSpec,
     CellMetrics,
     export_ledger,
+    run_campaign,
 )
 from repro.runtime.cell_store import CellStore
 from repro.runtime.shards import coalesce_cell_ranges
@@ -115,7 +119,7 @@ def backoff_delay_s(
 
 @dataclass(frozen=True)
 class DispatchAttempt:
-    """One subprocess launched for one cell range.
+    """One shard process launched for one cell range.
 
     Attributes:
         start: first grid cell of the dispatched range.
@@ -123,8 +127,9 @@ class DispatchAttempt:
         round: dispatch round (0 = the initial wave).
         attempt: highest per-cell dispatch count this launch represents
             (1-based; budgeted against ``1 + max_retries``).
-        exit_code: the subprocess return code (negative = killed by
-            that signal, e.g. -9 after a timeout or injected fault).
+        exit_code: the shard's exit code (0 = its cells were measured,
+            1 = a cell failed or the shard raised; negative = killed
+            by that signal, e.g. -9 after a timeout or injected fault).
         timed_out: True when the dispatcher killed the shard for
             exceeding ``timeout_s``.
         fault_injected: True when the test/CI fault hook killed it.
@@ -155,10 +160,11 @@ class DispatchReport:
         max_retries: re-dispatches allowed per cell beyond the first.
         timeout_s: per-shard kill deadline (None = none).
         rounds: dispatch rounds actually run.
-        attempts: every launched subprocess, in launch order.
+        attempts: every launched shard, in the order their exits were
+            observed.
         backoffs_s: the delay slept before each retry round.
         resumed_cells: cells already in the store before any
-            subprocess was launched (dispatcher resume).
+            shard was launched (dispatcher resume).
         complete: the projected grid has no missing cells.
         exhausted: the retry budget ran out with cells still missing.
         missing_cells: grid indices still absent from the store.
@@ -260,12 +266,16 @@ class DispatchReport:
 
 @dataclass
 class _Launched:
-    """Bookkeeping for one running shard subprocess."""
+    """Bookkeeping for one running shard.
+
+    ``process`` is a forked child running
+    :func:`~repro.runtime.campaign.run_campaign` over a cell range.
+    """
 
     start: int
     stop: int
     attempt: int
-    process: subprocess.Popen
+    process: BaseProcess
     started_monotonic: float
     deadline_monotonic: float | None
     fault_after_cells: int | None = None
@@ -276,11 +286,16 @@ class _Launched:
 class CampaignDispatcher:
     """Run a sharded campaign to completion through gap re-dispatch.
 
+    Each shard is a forked child running
+    :func:`~repro.runtime.campaign.run_campaign` over a cell range: a
+    separate OS process (killable, with its own exit code and fds 1
+    and 2 on ``/dev/null``) that starts from the dispatcher's
+    already-imported interpreter instead of a fresh one.
+
     Args:
         spec: the campaign grid and bench settings.
-        config: converter configuration (paper default when omitted).
-            Must be expressible on the ``repro campaign`` command line,
-            i.e. the default config — the subprocesses rebuild it.
+        config: converter configuration (paper default when omitted);
+            the forked shards inherit it.
         shards: first-wave shard count and per-wave concurrency cap
             (clamped to the grid size).
         cell_store: root of the content-addressed cell store every
@@ -288,14 +303,15 @@ class CampaignDispatcher:
             dispatcher resume.  May be shared with other campaigns.
         max_retries: re-dispatches allowed per cell beyond its first
             launch before the budget is exhausted.
-        timeout_s: kill a shard subprocess exceeding this wall time;
-            its range re-enters the gap pool.
+        timeout_s: kill a shard exceeding this wall time; its range
+            re-enters the gap pool.
         backoff_base_s: base of the exponential retry backoff (0
             disables waiting; the jitter stays deterministic either
             way).
         backoff_cap_s: ceiling on the un-jittered backoff delay.
-        poll_interval_s: subprocess poll cadence.
-        workers: worker processes per shard subprocess.
+        poll_interval_s: cadence of the fault-hook and timeout checks
+            (a shard's exit is observed at once).
+        workers: worker processes per shard.
         cell_chunk: cells per batch task inside each shard
             (``1`` makes the store checkpoint per cell — what the
             fault-injection tests and CI gate use).
@@ -397,63 +413,29 @@ class CampaignDispatcher:
             ranges[widest : widest + 1] = [(start, mid), (mid, stop)]
         return tuple(sorted(ranges))
 
-    def _command(self, start: int, stop: int) -> list[str]:
-        """The ``repro campaign`` invocation for one cell range.
+    def _run_shard(self, start: int, stop: int) -> None:
+        """The forked shard's body: measure ``[start, stop)`` into the store.
 
-        Floats travel as ``repr`` so they round-trip bit-exactly
-        through the child's ``float()`` parse; die seeds are passed
-        resolved, so the child's fingerprint equals the parent's even
-        though the root seed is not on the command line.
+        Output goes to ``/dev/null`` (fds 1 and 2 and the Python
+        streams over them).  The exit code mirrors ``repro campaign``:
+        0, or 1 when a cell failed — or, through ``multiprocessing``,
+        when the shard raised.
         """
-        spec = self.spec
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "campaign",
-            "--corners",
-            ",".join(corner.value for corner in spec.corners),
-            "--temps={}".format(
-                ",".join(repr(float(t)) for t in spec.temperatures_c)
-            ),
-            "--dies",
-            str(spec.n_dies),
-            "--die-seeds",
-            ",".join(str(seed) for seed in spec.resolved_die_seeds()),
-            "--rate",
-            repr(float(spec.conversion_rate)),
-            "--fin",
-            repr(float(spec.input_frequency)),
-            "--fft-points",
-            str(spec.n_samples),
-            "--amplitude",
-            repr(float(spec.amplitude_fraction)),
-            "--supply-scale",
-            repr(float(spec.supply_scale)),
-            "--precision",
-            spec.precision,
-            "--workers",
-            str(self.workers),
-            "--cell-range",
-            f"{start}:{stop}",
-            "--cell-store",
-            str(self.cell_store),
-        ]
-        if self.cell_chunk is not None:
-            command += ["--cell-chunk", str(self.cell_chunk)]
-        if not self.fsync:
-            command.append("--no-fsync")
-        return command
-
-    def _subprocess_env(self) -> dict[str, str]:
-        """Child env: the parent's, with this checkout importable."""
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        previous = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + previous if previous else src_root
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        os.close(devnull)
+        sys.stdout = sys.stderr = open(os.devnull, "w")
+        report = run_campaign(
+            self.spec,
+            config=self.config,
+            cell_range=(start, stop),
+            cell_store=self.cell_store,
+            workers=self.workers,
+            cell_chunk=self.cell_chunk,
+            fsync=self.fsync,
         )
-        return env
+        sys.exit(1 if report.failures else 0)
 
     # --- the store projection (the source of truth) ---------------------
 
@@ -579,25 +561,25 @@ class CampaignDispatcher:
     ) -> list[DispatchAttempt]:
         """Launch one round's ranges (at most ``shards`` concurrent)."""
         wave_start = time.monotonic()
+        context = multiprocessing.get_context("fork")
         pending = list(wave)
         position = 0
         running: list[_Launched] = []
-        finished: list[tuple[_Launched, int]] = []
-        env = self._subprocess_env()
+        attempts: list[DispatchAttempt] = []
         while pending or running:
             while pending and len(running) < self.shards:
                 start, stop, attempt_no = pending.pop(0)
+                process = context.Process(
+                    target=self._run_shard,
+                    args=(start, stop),
+                )
                 now = time.monotonic()
+                process.start()
                 launched = _Launched(
                     start=start,
                     stop=stop,
                     attempt=attempt_no,
-                    process=subprocess.Popen(
-                        self._command(start, stop),
-                        env=env,
-                        stdout=subprocess.DEVNULL,
-                        stderr=subprocess.DEVNULL,
-                    ),
+                    process=process,
                     started_monotonic=now,
                     deadline_monotonic=(
                         now + self.timeout_s
@@ -611,9 +593,24 @@ class CampaignDispatcher:
                 running.append(launched)
             still_running: list[_Launched] = []
             for launched in running:
-                code = launched.process.poll()
+                code = launched.process.exitcode
                 if code is not None:
-                    finished.append((launched, code))
+                    attempts.append(
+                        DispatchAttempt(
+                            start=launched.start,
+                            stop=launched.stop,
+                            round=round_index,
+                            attempt=launched.attempt,
+                            exit_code=code,
+                            timed_out=launched.timed_out,
+                            fault_injected=launched.fault_injected,
+                            elapsed_s=(
+                                time.monotonic()
+                                - launched.started_monotonic
+                            ),
+                        )
+                    )
+                    launched.process.close()
                     continue
                 # The fault fires only while the shard still has cells
                 # left to store: a kill after the last entry leaves no
@@ -636,7 +633,12 @@ class CampaignDispatcher:
                 still_running.append(launched)
             running = still_running
             if running:
-                time.sleep(self.poll_interval_s)
+                # Wakes as soon as a shard exits; otherwise the fault
+                # and timeout checks run once per poll interval.
+                wait(
+                    [launched.process.sentinel for launched in running],
+                    timeout=self.poll_interval_s,
+                )
         recorder = active()
         if recorder is not None:
             recorder.add(
@@ -645,20 +647,7 @@ class CampaignDispatcher:
                 time.monotonic() - wave_start,
                 count=len(wave),
             )
-        reap_time = time.monotonic()
-        return [
-            DispatchAttempt(
-                start=launched.start,
-                stop=launched.stop,
-                round=round_index,
-                attempt=launched.attempt,
-                exit_code=code,
-                timed_out=launched.timed_out,
-                fault_injected=launched.fault_injected,
-                elapsed_s=reap_time - launched.started_monotonic,
-            )
-            for launched, code in finished
-        ]
+        return attempts
 
 
 def parse_fault_kill(value: str | None) -> tuple[int, int] | None:

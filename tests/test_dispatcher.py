@@ -21,6 +21,8 @@ The load-bearing contracts:
 
 import json
 import os
+import sys
+import time
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.errors import ConfigurationError
 from repro.runtime.campaign import (
     CAMPAIGN_LEDGER_SCHEMA,
     CampaignSpec,
+    measure_cell_chunk,
     run_campaign,
 )
 from repro.runtime.cell_store import QUARANTINE_DIR, CellStore
@@ -48,6 +51,16 @@ SMALL = dict(
     seed=99,
     n_samples=512,
 )
+
+
+#: The cell measurement ``run_campaign`` looks up at call time; forked
+#: shards inherit a monkeypatch of it.
+MEASURE = "repro.runtime.campaign.measure_cell_chunk"
+
+
+def _block(task, *seed):
+    """A cell measurement that never finishes on its own."""
+    time.sleep(60.0)
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +316,10 @@ class TestDispatchRecovery:
         )
         assert "EXHAUSTED" in report.render()
 
-    def test_timeout_kills_and_flags(self, small_spec, tmp_path):
+    def test_timeout_kills_and_flags(self, small_spec, tmp_path, monkeypatch):
+        # Every cell blocks, so no shard can finish inside the timeout
+        # (the forked shards inherit the patch).
+        monkeypatch.setattr(MEASURE, _block)
         dispatcher = CampaignDispatcher(
             small_spec,
             shards=2,
@@ -383,6 +399,118 @@ class TestDispatchRecovery:
         ).run()
         assert again.attempts == ()
         assert again.report.cells == single_report.cells
+
+
+class TestForkedShards:
+    """The shard process contract: each shard is a forked child."""
+
+    def test_non_default_config_completes(self, tmp_path):
+        spec = CampaignSpec(
+            corners=(Corner.TT,),
+            temperatures_c=(27.0,),
+            n_dies=2,
+            n_samples=512,
+            seed=3,
+        )
+        config = AdcConfig.paper_default().with_fixed_bias()
+        report = CampaignDispatcher(
+            spec,
+            config,
+            shards=1,
+            cell_store=tmp_path,
+            max_retries=1,
+        ).run()
+        assert report.complete and not report.exhausted
+        assert report.rounds == 1
+        assert [(a.start, a.stop, a.exit_code) for a in report.attempts] == [
+            (0, 2, 0)
+        ]
+        assert report.report.cells == run_campaign(spec, config=config).cells
+
+    def test_shard_runs_its_own_pool(self, small_spec, tmp_path, single_report):
+        # A forked shard may fork pool workers of its own.
+        report = CampaignDispatcher(
+            small_spec, shards=2, cell_store=tmp_path, workers=2
+        ).run()
+        assert report.complete and report.rounds == 1
+        assert report.report.cells == single_report.cells
+
+    def test_attempt_elapsed_is_per_shard(self, small_spec, tmp_path):
+        report = CampaignDispatcher(
+            small_spec,
+            shards=2,
+            cell_store=tmp_path,
+            cell_chunk=1,
+            poll_interval_s=0.01,
+            fault_kill=(0, 1),
+        ).run()
+        assert report.complete
+        first_round = [a for a in report.attempts if a.round == 0]
+        (killed,) = [a for a in first_round if a.fault_injected]
+        (survivor,) = [a for a in first_round if not a.fault_injected]
+        assert killed.exit_code == -9 and survivor.exit_code == 0
+        assert killed.elapsed_s < survivor.elapsed_s
+
+    def test_failing_cells_exit_one_and_stay_a_gap(
+        self, small_spec, tmp_path, monkeypatch
+    ):
+        def fail_from_cell_4(task, *seed):
+            if task.cells[0].index >= 4:
+                raise RuntimeError("injected cell failure")
+            return measure_cell_chunk(task, *seed)
+
+        monkeypatch.setattr(MEASURE, fail_from_cell_4)
+        report = CampaignDispatcher(
+            small_spec,
+            shards=2,
+            cell_store=tmp_path,
+            cell_chunk=1,
+            max_retries=1,
+        ).run()
+        assert not report.complete and report.exhausted
+        assert report.missing_cells == (4, 5, 6, 7)
+        assert sorted(
+            (a.round, a.start, a.stop, a.exit_code) for a in report.attempts
+        ) == [(0, 0, 4, 0), (0, 4, 8, 1), (1, 4, 6, 1), (1, 6, 8, 1)]
+
+    def test_raising_shard_exits_nonzero(
+        self, small_spec, tmp_path, monkeypatch
+    ):
+        def explode(*args, **kwargs):
+            raise RuntimeError("injected shard crash")
+
+        monkeypatch.setattr("repro.runtime.dispatcher.run_campaign", explode)
+        report = CampaignDispatcher(
+            small_spec,
+            shards=2,
+            cell_store=tmp_path,
+            max_retries=1,
+            timeout_s=30.0,
+        ).run()
+        assert report.exhausted
+        assert report.missing_cells == tuple(range(small_spec.n_cells))
+        assert len(report.attempts) == 4
+        assert all(a.exit_code == 1 for a in report.attempts)
+        assert not any(a.timed_out for a in report.attempts)
+
+    def test_shard_output_never_reaches_the_parent(
+        self, small_spec, tmp_path, monkeypatch, capfd
+    ):
+        def noisy(task, *seed):
+            print("shard-noise: stdout")
+            print("shard-noise: stderr", file=sys.stderr)
+            os.write(1, b"shard-noise: fd 1\n")
+            os.write(2, b"shard-noise: fd 2\n")
+            return measure_cell_chunk(task, *seed)
+
+        monkeypatch.setattr(MEASURE, noisy)
+        report = CampaignDispatcher(
+            small_spec, shards=2, cell_store=tmp_path
+        ).run()
+        assert report.complete
+        out, err = capfd.readouterr()
+        assert "shard-noise" not in out
+        assert "shard-noise" not in err
 
 
 class TestDispatchCli:
